@@ -367,53 +367,22 @@ def _max_weak_sparse(cells: list[Cell]) -> list[Cell]:
 def bruteforce_min_partition(board: Board) -> tuple[int, CellPartition]:
     """Exhaustive minimum number of c-sparse classes partitioning the board.
 
-    Iterative deepening on the class count: for t = 1, 2, ... run a complete
-    backtracking assignment of cells in cell order, keeping every class
-    c-sparse incrementally and breaking symmetry (a cell may open class c
-    only if every class below c is already in use).  Returns the least
-    feasible count with a witness partition.
+    A cell set is c-sparse exactly when its cells induce an acyclic
+    sub-digraph of the board's tournament, so this is the exact dichromatic
+    number of `tournament_from_board`, with the optimal coloring's classes
+    mapped back to cells.  Returns the count with a witness partition.
     """
+    # Function-level imports: digraph, generators and solvers import this module.
+    from .generators import tournament_from_board
+    from .solvers import OPTIMAL, dichromatic_number
+
     _check_bruteforce_size(board)
-    cells = list(board.cells())
-    for count in range(1, len(cells) + 1):
-        assignment = _partition_into(cells, count)
-        if assignment is not None:
-            groups: list[list[Cell]] = [[] for _ in range(count)]
-            for cell, cls in zip(cells, assignment):
-                groups[cls].append(cell)
-            partition = CellPartition(board, [CellSet(board, g) for g in groups])
-            return count, partition
-    raise RuntimeError("unreachable: singleton classes always form a c-sparse partition")
-
-
-def _partition_into(cells: list[Cell], count: int) -> list[int] | None:
-    total = len(cells)
-    assign = [-1] * total
-    last: list[Cell | None] = [None] * count
-    col_last: list[dict[int, Cell]] = [{} for _ in range(count)]
-
-    def place(idx: int, used: int) -> bool:
-        if idx == total:
-            return True
-        cell = cells[idx]
-        col = cell.col
-        for cls in range(used + 1 if used < count else count):
-            previous = col_last[cls].get(col)
-            if previous is None or previous == last[cls]:
-                saved_last = last[cls]
-                col_last[cls][col] = cell
-                last[cls] = cell
-                assign[idx] = cls
-                if place(idx + 1, used + (1 if cls == used else 0)):
-                    return True
-                last[cls] = saved_last
-                if previous is None:
-                    del col_last[cls][col]
-                else:
-                    col_last[cls][col] = previous
-        return False
-
-    return assign if place(0, 0) else None
+    g = tournament_from_board(board.n, board.m)
+    result = dichromatic_number(g)
+    if result.status != OPTIMAL:
+        raise RuntimeError(f"{board.n}x{board.m} partition search ended {result.status}")
+    classes = [CellSet(board, (g.labels[v] for v in vs)) for vs in result.certificate.color_classes()]
+    return result.value, CellPartition(board, classes)
 
 
 def cell_set_to_json(s: CellSet) -> dict:

@@ -83,21 +83,28 @@ class Digraph:
         return f"Digraph({self.vertex_count} vertices, {len(self.arcs)} arcs{tag})"
 
 
-def is_acyclic(g: Digraph) -> bool:
-    """Exact test for the absence of directed cycles (source elimination)."""
-    indegree = [0] * g.vertex_count
-    for _, v in g.arcs:
-        indegree[v] += 1
-    stack = [v for v in range(g.vertex_count) if indegree[v] == 0]
+def is_acyclic(g: Digraph, within: Iterable[int] | None = None) -> bool:
+    """Exact test for the absence of directed cycles (source elimination).
+
+    With `within`, the test applies to the sub-digraph induced by that
+    vertex set.
+    """
+    indegree = dict.fromkeys(_validated_members(g, within), 0)
+    for v in indegree:
+        for w in g.out_neighbors(v):
+            if w in indegree:
+                indegree[w] += 1
+    stack = [v for v, d in indegree.items() if d == 0]
     removed = 0
     while stack:
         v = stack.pop()
         removed += 1
         for w in g.out_neighbors(v):
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                stack.append(w)
-    return removed == g.vertex_count
+            if w in indegree:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    stack.append(w)
+    return removed == len(indegree)
 
 
 def _validated_members(g: Digraph, members: Iterable[int] | None) -> list[int]:

@@ -3,23 +3,29 @@
 Two constraints are supported for color classes: "acyclic" (no monochromatic
 directed cycle; the minimum is the dichromatic number) and "triangle-free"
 (no monochromatic directed triangle).  The search is iterative deepening on
-the color count: each level runs a complete backtracking assignment of
-vertices in index order with symmetry breaking, so the first feasible level
-is the optimum.  A greedy coloring seeds the upper end of the range.
+the color count: each level runs one backtracking assignment of vertices in
+index order with symmetry breaking, so the first feasible level is the
+optimum.  The same search run with one color per vertex never backtracks;
+it is the first-fit greedy coloring that seeds the upper end of the range,
+and it runs under the solve's own node and time budget.
 
-Feasibility of a class is maintained incrementally.  Tournaments and the
-triangle-free constraint use a bitmask "forbidden vertex" scheme (a class of
-a tournament is acyclic iff it has no directed triangle); general digraphs
-under the acyclic constraint fall back to full cycle detection per insertion.
+Feasibility of a class is maintained incrementally as a bitmask of the
+vertices that may not join it.  Tournaments and the triangle-free constraint
+use the triangle state (a class of a tournament is acyclic iff it has no
+directed triangle); other digraphs under the acyclic constraint use the
+reachability state, which tracks what each member reaches inside its class.
+The input alone selects the state.  Certificates are re-checked by
+`verify_coloring` with plain digraph primitives, independently of the search.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import Digraph, find_directed_triangle, induced, is_acyclic, is_tournament
+from .digraph import Digraph, find_directed_triangle, is_acyclic, is_tournament
 
 ACYCLIC = "acyclic"
 TRIANGLE_FREE = "triangle-free"
@@ -119,35 +125,12 @@ class _Budget:
 def _class_feasible(g: Digraph, constraint: str, members: list[int]) -> bool:
     if constraint == TRIANGLE_FREE:
         return find_directed_triangle(g, members) is None
-    return is_acyclic(induced(g, members))
+    return is_acyclic(g, members)
 
 
 def _check_constraint(constraint: str) -> None:
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}; expected one of {CONSTRAINTS}")
-
-
-def greedy_upper_bound(g: Digraph, constraint: str) -> Coloring:
-    """First-fit coloring in vertex order; a feasible upper bound for the solvers.
-
-    Each vertex takes the least color whose class stays feasible, opening a
-    new color when none fits.  Feasibility is checked with the plain digraph
-    primitives, independently of the exact search.
-    """
-    _check_constraint(constraint)
-    classes: list[list[int]] = []
-    color_of: list[int] = []
-    for v in range(g.vertex_count):
-        for c, members in enumerate(classes):
-            members.append(v)
-            if _class_feasible(g, constraint, members):
-                color_of.append(c)
-                break
-            members.pop()
-        else:
-            classes.append([v])
-            color_of.append(len(classes) - 1)
-    return Coloring(g, tuple(color_of), len(classes))
 
 
 def verify_coloring(g: Digraph, coloring: Coloring, constraint: str) -> bool:
@@ -163,106 +146,139 @@ def verify_coloring(g: Digraph, coloring: Coloring, constraint: str) -> bool:
     )
 
 
-def _search_triangle_classes(
-    n: int, t: int, out_mask: list[int], in_mask: list[int], budget: _Budget
-) -> list[int] | None:
-    """Feasibility search where a class fails exactly when it gains a directed triangle.
+def _search_input(g: Digraph, constraint: str) -> tuple[list[int], list[int], bool]:
+    """Arc bitmasks and whether a class fails exactly when it gains a directed triangle.
 
-    danger[c] is the set (as a bitmask) of vertices that would close a
-    triangle with some arc already inside class c, maintained incrementally:
-    an internal arc a->b forbids every x with b->x and x->a.
+    That holds for the triangle-free constraint and, because a class of a
+    tournament is acyclic iff it has no directed triangle, for tournaments.
     """
-    member = [0] * t
-    danger = [0] * t
-    assign = [-1] * n
-    tick = budget.tick
-
-    def extend(i: int, used: int) -> bool:
-        tick()
-        if i == n:
-            return True
-        bit = 1 << i
-        in_i = in_mask[i]
-        out_i = out_mask[i]
-        for c in range(used + 1 if used < t else t):
-            old = danger[c]
-            if old & bit:
-                continue
-            m = member[c]
-            d = old
-            a = m & in_i
-            while a:
-                lsb = a & -a
-                d |= out_i & in_mask[lsb.bit_length() - 1]
-                a ^= lsb
-            b = m & out_i
-            while b:
-                lsb = b & -b
-                d |= out_mask[lsb.bit_length() - 1] & in_i
-                b ^= lsb
-            danger[c] = d
-            member[c] = m | bit
-            assign[i] = c
-            if extend(i + 1, used + (1 if c == used else 0)):
-                return True
-            danger[c] = old
-            member[c] = m
-        return False
-
-    return assign if extend(0, 0) else None
-
-
-def _search_general_acyclic(g: Digraph, t: int, budget: _Budget) -> list[int] | None:
-    """Feasibility search with full cycle detection per class insertion."""
-    n = g.vertex_count
-    out = [g.out_neighbors(v) for v in range(n)]
-    members: list[list[int]] = [[] for _ in range(t)]
-    assign = [-1] * n
-    tick = budget.tick
-
-    def stays_acyclic(cls: int, v: int) -> bool:
-        verts = members[cls] + [v]
-        inside = set(verts)
-        indeg = dict.fromkeys(verts, 0)
-        for u in verts:
-            for w in out[u]:
-                if w in inside:
-                    indeg[w] += 1
-        stack = [u for u in verts if indeg[u] == 0]
-        removed = 0
-        while stack:
-            u = stack.pop()
-            removed += 1
-            for w in out[u]:
-                if w in inside:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        stack.append(w)
-        return removed == len(verts)
-
-    def extend(i: int, used: int) -> bool:
-        tick()
-        if i == n:
-            return True
-        for c in range(used + 1 if used < t else t):
-            if stays_acyclic(c, i):
-                members[c].append(i)
-                assign[i] = c
-                if extend(i + 1, used + (1 if c == used else 0)):
-                    return True
-                members[c].pop()
-        return False
-
-    return assign if extend(0, 0) else None
-
-
-def _masks(g: Digraph) -> tuple[list[int], list[int]]:
     out_mask = [0] * g.vertex_count
     in_mask = [0] * g.vertex_count
     for u, v in g.arcs:
         out_mask[u] |= 1 << v
         in_mask[v] |= 1 << u
-    return out_mask, in_mask
+    return out_mask, in_mask, constraint == TRIANGLE_FREE or is_tournament(g)
+
+
+def _search(
+    t: int, out_mask: list[int], in_mask: list[int], triangle: bool, budget: _Budget
+) -> list[int] | None:
+    """First assignment of at most t feasible classes, or None when there is none.
+
+    Vertices are assigned in index order by backtracking on an explicit
+    stack, trying colors in increasing order; a vertex may open color
+    `used` only, which breaks the symmetry between color names.  The budget
+    ticks once per node, that is once per vertex placed plus once for the
+    root.  With t = n no placement ever fails, because a fresh color always
+    fits, so the search is first-fit greedy and takes n + 1 nodes.
+
+    danger[c] is the set (as a bitmask) of vertices that would break class
+    c, so rejecting a color is one AND.  It grows as vertices join:
+    - triangle state: an internal arc a->b forbids every x with b->x and x->a;
+    - reachability state (the acyclic constraint on other digraphs):
+      reach[u] is the set of members of u's class that u reaches inside the
+      class, u included.  When v joins, every member reaching v (A) now
+      reaches everything v reaches (B), so every x with an arc into A and
+      an arc from B would close a cycle.
+    """
+    n = len(out_mask)
+    member = [0] * t
+    danger = [0] * t
+    reach = [0] * n
+    assign = [0] * n
+    # Per placed vertex: its class's danger before it joined, and in the
+    # reachability state the (member, old reach) pairs it changed.
+    saved_danger = [0] * n
+    saved_reach: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    tick = budget.tick
+    tick()
+    i = used = c = 0
+    while i < n:
+        bit = 1 << i
+        top = used + 1 if used < t else t
+        while c < top and danger[c] & bit:
+            c += 1
+        if c < top:
+            m = member[c]
+            d = saved_danger[i] = danger[c]
+            in_i = in_mask[i]
+            out_i = out_mask[i]
+            if triangle:
+                a = m & in_i
+                while a:
+                    lsb = a & -a
+                    d |= out_i & in_mask[lsb.bit_length() - 1]
+                    a ^= lsb
+                b = m & out_i
+                while b:
+                    lsb = b & -b
+                    d |= out_mask[lsb.bit_length() - 1] & in_i
+                    b ^= lsb
+            else:
+                down = bit
+                b = m & out_i
+                while b:
+                    lsb = b & -b
+                    down |= reach[lsb.bit_length() - 1]
+                    b ^= lsb
+                reach[i] = down
+                into = in_i
+                changed = saved_reach[i]
+                a = m
+                while a:
+                    lsb = a & -a
+                    u = lsb.bit_length() - 1
+                    r = reach[u]
+                    if r & in_i:
+                        changed.append((u, r))
+                        reach[u] = r | down
+                        into |= in_mask[u]
+                    a ^= lsb
+                outof = 0
+                b = down
+                while b:
+                    lsb = b & -b
+                    outof |= out_mask[lsb.bit_length() - 1]
+                    b ^= lsb
+                d |= into & outof
+            danger[c] = d
+            member[c] = m | bit
+            assign[i] = c
+            if c == used:
+                used += 1
+            i += 1
+            tick()
+            c = 0
+        elif i == 0:
+            return None
+        else:
+            i -= 1
+            c = assign[i]
+            member[c] ^= 1 << i
+            danger[c] = saved_danger[i]
+            changed = saved_reach[i]
+            while changed:
+                u, r = changed.pop()
+                reach[u] = r
+            if not member[c]:
+                used -= 1
+            c += 1
+    return assign
+
+
+def _coloring(g: Digraph, assignment: list[int]) -> Coloring:
+    return Coloring(g, tuple(assignment), len(set(assignment)))
+
+
+def greedy_upper_bound(g: Digraph, constraint: str) -> Coloring:
+    """First-fit coloring in vertex order; a feasible upper bound for the solvers.
+
+    Each vertex takes the least color whose class stays feasible, opening a
+    new color when none fits: the exact search run with one color per vertex.
+    """
+    _check_constraint(constraint)
+    budget = _Budget(SolveLimits(max_nodes=g.vertex_count + 1, max_seconds=math.inf))
+    return _coloring(g, _search(g.vertex_count, *_search_input(g, constraint), budget))
 
 
 def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResult:
@@ -273,40 +289,25 @@ def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResu
     if n == 0:
         return SolveResult(OPTIMAL, 0, Coloring(g, (), 0), 0, time.perf_counter() - start)
 
-    greedy = greedy_upper_bound(g, constraint)
-    ub = greedy.num_colors
-    cap = ub if limits.max_colors is None else min(ub, limits.max_colors)
-    # A class of a tournament is acyclic iff it contains no directed
-    # triangle, so tournaments share the triangle fast path.
-    triangle_path = constraint == TRIANGLE_FREE or is_tournament(g)
-    if triangle_path:
-        out_mask, in_mask = _masks(g)
-
     budget = _Budget(limits)
-    for t in range(1, cap + 1):
-        if t == ub:
-            # Every smaller count is proven infeasible and the greedy
-            # coloring witnesses feasibility at ub.
-            return SolveResult(
-                OPTIMAL, t, greedy, budget.nodes, time.perf_counter() - start
-            )
-        try:
-            if triangle_path:
-                assignment = _search_triangle_classes(n, t, out_mask, in_mask, budget)
-            else:
-                assignment = _search_general_acyclic(g, t, budget)
-        except _LimitHit:
-            return SolveResult(
-                ABORTED_AT_LIMIT, t, None, budget.nodes, time.perf_counter() - start
-            )
-        if assignment is not None:
-            certificate = Coloring(g, tuple(assignment), t)
-            return SolveResult(
-                OPTIMAL, t, certificate, budget.nodes, time.perf_counter() - start
-            )
-    return SolveResult(
-        LOWER_BOUND_ONLY, cap + 1, None, budget.nodes, time.perf_counter() - start
-    )
+    state = _search_input(g, constraint)
+    t = 1  # the only bound proven if the budget runs out during greedy
+    try:
+        greedy = _coloring(g, _search(n, *state, budget))
+        ub = greedy.num_colors
+        cap = ub if limits.max_colors is None else min(ub, limits.max_colors)
+        for t in range(1, cap + 1):
+            if t == ub:
+                # Every smaller count is proven infeasible and the greedy
+                # coloring witnesses feasibility at ub.
+                return SolveResult(OPTIMAL, t, greedy, budget.nodes, time.perf_counter() - start)
+            assignment = _search(t, *state, budget)
+            if assignment is not None:
+                certificate = Coloring(g, tuple(assignment), t)
+                return SolveResult(OPTIMAL, t, certificate, budget.nodes, time.perf_counter() - start)
+    except _LimitHit:
+        return SolveResult(ABORTED_AT_LIMIT, t, None, budget.nodes, time.perf_counter() - start)
+    return SolveResult(LOWER_BOUND_ONLY, cap + 1, None, budget.nodes, time.perf_counter() - start)
 
 
 def dichromatic_number(g: Digraph, limits: SolveLimits | None = None) -> SolveResult:

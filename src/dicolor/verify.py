@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from .board import (
     Board,
@@ -25,7 +24,7 @@ from .board import (
     is_weak_c_sparse,
     optimal_c_sparse_partition,
 )
-from .digraph import find_directed_triangle, induced, is_acyclic
+from .digraph import find_directed_triangle, is_acyclic
 from .generators import build_npartite, build_tournament, cell_set_of
 from .solvers import (
     ACYCLIC,
@@ -60,10 +59,11 @@ def _small_boards(max_cells: int) -> list[Board]:
     ]
 
 
-def _all_subsets(board: Board):
-    cells = list(board.cells())
-    for mask in range(1 << len(cells)):
-        yield [cells[i] for i in range(len(cells)) if mask >> i & 1]
+def _subsets(items):
+    """Every subset of items, as a list in item order, by increasing bitmask."""
+    items = list(items)
+    for mask in range(1 << len(items)):
+        yield [x for i, x in enumerate(items) if mask >> i & 1]
 
 
 def suite_order() -> list[Claim]:
@@ -88,7 +88,7 @@ def suite_order() -> list[Claim]:
     implication = True
     antitone = True
     for board in _small_boards(9):
-        for cells_sub in _all_subsets(board):
+        for cells_sub in _subsets(board.cells()):
             s = CellSet(board, cells_sub)
             c = is_c_sparse(s)
             w = is_weak_c_sparse(s)
@@ -206,10 +206,7 @@ def suite_tk(max_k: int = 3) -> list[Claim]:
 def suite_equivalence(seed: int = 0, samples: int = 10_000) -> list[Claim]:
     g2 = build_tournament(2)
     mismatches = sum(
-        1
-        for mask in range(1 << 9)
-        if is_acyclic(induced(g2, [v for v in range(9) if mask >> v & 1]))
-        != is_c_sparse(cell_set_of(g2, [v for v in range(9) if mask >> v & 1]))
+        1 for vs in _subsets(range(9)) if is_acyclic(g2, vs) != is_c_sparse(cell_set_of(g2, vs))
     )
     claims = [
         Claim(
@@ -224,7 +221,7 @@ def suite_equivalence(seed: int = 0, samples: int = 10_000) -> list[Claim]:
     bad = 0
     for _ in range(samples):
         vs = [v for v in range(25) if rng.random() < 0.5]
-        if is_acyclic(induced(g3, vs)) != is_c_sparse(cell_set_of(g3, vs)):
+        if is_acyclic(g3, vs) != is_c_sparse(cell_set_of(g3, vs)):
             bad += 1
     claims.append(
         Claim(
@@ -246,7 +243,7 @@ def suite_npartite(
     for n in range(1, 4):
         for m in range(1, 4):
             g = build_npartite(n, m)
-            for members in map(list, _subsets_of(g.vertex_count)):
+            for members in _subsets(range(g.vertex_count)):
                 if find_directed_triangle(g, members) is None:
                     if not is_weak_c_sparse(cell_set_of(g, members)):
                         observation_ok = False
@@ -282,11 +279,6 @@ def suite_npartite(
             )
         )
     return claims
-
-
-def _subsets_of(n: int):
-    for size in range(n + 1):
-        yield from combinations(range(n), size)
 
 
 def run_suites(

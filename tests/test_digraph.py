@@ -67,6 +67,18 @@ class TestAcyclicity:
         n = 6
         ring = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
         assert not is_acyclic(ring)
+        assert is_acyclic(ring, within=range(1, n))
+
+    def test_within_matches_subset_oracle(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            g = random_digraph(rng, rng.randint(1, 7), rng.random())
+            vs = [v for v in range(g.vertex_count) if rng.random() < 0.6]
+            assert is_acyclic(g, vs) == (not has_directed_cycle_by_subsets(induced(g, vs)))
+
+    def test_within_rejects_bad_vertices(self):
+        with pytest.raises(ValueError):
+            is_acyclic(TRIANGLE, within={0, 9})
 
 
 class TestTriangleSearch:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -150,13 +151,36 @@ class TestExactSolvers:
             result = dichromatic_number(g)
             assert result.value == min_colors_by_enumeration(g, ACYCLIC)
 
+    def test_certificates_verify_on_larger_random_digraphs(self):
+        # Cycles that close through vertices placed later need the
+        # reachability state to propagate what each member reaches; the
+        # enumeration cross-checks above stop at 7 vertices and rarely meet them.
+        rng = random.Random(1)
+        for _ in range(100):
+            g = random_digraph(rng, rng.randint(8, 24), rng.random())
+            result = dichromatic_number(g)
+            assert result.status == OPTIMAL
+            assert verify_coloring(g, result.certificate, ACYCLIC)
+
+    def test_deep_instance_has_no_recursion_limit(self):
+        # 220 disjoint copies of a 6-vertex digraph whose first-fit coloring
+        # uses 3 colors but whose dichromatic number is 2: the level-2
+        # search reaches depth 1,320, beyond Python's recursion limit.
+        gadget = [(0, 2), (0, 5), (1, 0), (1, 4), (2, 1), (2, 4), (3, 0), (3, 1), (4, 3), (4, 5), (5, 2), (5, 3)]
+        assert greedy_upper_bound(Digraph(6, gadget), ACYCLIC).num_colors == 3
+        g = Digraph(6 * 220, [(6 * k + u, 6 * k + v) for k in range(220) for u, v in gadget])
+        result = dichromatic_number(g)
+        assert result.status == OPTIMAL and result.value == 2
+        assert verify_coloring(g, result.certificate, ACYCLIC)
+
     def test_npartite_contains_triangle(self):
         result = triangle_free_chromatic(build_npartite(3, 2))
         assert result.status == OPTIMAL and result.value >= 2
 
     def test_tournament_value_equals_board_partition_minimum(self):
         # acyclic color classes of the board tournament are exactly the
-        # c-sparse cell classes, so the two exact searches must agree
+        # c-sparse cell classes, so the partition oracle (which solves the
+        # board tournament) must agree with the built tournament's value
         from dicolor import bruteforce_min_partition
 
         for k in (1, 2):
@@ -180,6 +204,15 @@ class TestLimits:
         assert result.value in (1, 2, 3)
         full = dichromatic_number(build_tournament(3))
         assert result.value <= full.value
+
+    def test_time_limit_covers_greedy(self):
+        # The greedy bound runs under the solve's own budget: on T_8 a
+        # greedy outside the budget alone took seconds.
+        g = build_tournament(8)
+        start = time.perf_counter()
+        result = dichromatic_number(g, SolveLimits(max_seconds=0.2))
+        assert time.perf_counter() - start < 1.0
+        assert result.status == ABORTED_AT_LIMIT
 
     def test_max_colors_certifies_lower_bound(self):
         result = dichromatic_number(build_tournament(3), SolveLimits(max_colors=2))
@@ -243,7 +276,17 @@ class TestResultSerialization:
         assert "colors" not in doc
 
     def test_deterministic_node_counts(self):
-        a = dichromatic_number(build_tournament(3))
-        b = dichromatic_number(build_tournament(3))
-        assert a.nodes_explored == b.nodes_explored
-        assert a.certificate.color_of == b.certificate.color_of
+        # Pinned values: any change to the search order, the symmetry breaking
+        # or the node accounting (n + 1 greedy nodes, then one per search
+        # node) moves them.
+        cases = [
+            (build_tournament(3), dichromatic_number, 3444, "0001222011120001222011120"),
+            (build_npartite(6, 3), triangle_free_chromatic, 355, "000000111111222222"),
+            (random_digraph(random.Random(6), 18, 0.5), dichromatic_number, 147, "000101001100010111"),
+        ]
+        for g, solve, nodes, colors in cases:
+            a = solve(g)
+            b = solve(g)
+            assert a.nodes_explored == b.nodes_explored == nodes
+            assert a.certificate.color_of == b.certificate.color_of
+            assert "".join(map(str, a.certificate.color_of)) == colors
