@@ -11,7 +11,6 @@ from .board import (
     CellSet,
     bruteforce_max_sparse,
     bruteforce_min_partition,
-    cell_cmp,
     cell_set_from_json,
     cell_set_to_json,
     diagonal_band,
@@ -34,7 +33,6 @@ from .digraph import (
     induced,
     is_acyclic,
     is_tournament,
-    tournament_is_acyclic,
 )
 from .generators import (
     build_npartite,

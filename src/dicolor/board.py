@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 C_SPARSE = "c-sparse"
 WEAK_C_SPARSE = "weak-c-sparse"
-SPARSITY_MODES = (C_SPARSE, WEAK_C_SPARSE)
 
 # Hard cap for the exhaustive oracles; beyond this they refuse to run.
 MAX_BRUTEFORCE_CELLS = 25
@@ -38,13 +37,6 @@ class Cell(NamedTuple):
 
     row: int
     col: int
-
-
-def cell_cmp(a: Cell, b: Cell) -> int:
-    """Three-way comparison of cells in row-major order (-1, 0, or 1)."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
 
 
 @dataclass(frozen=True)
@@ -166,15 +158,6 @@ def is_weak_c_sparse(s: CellSet) -> bool:
     return True
 
 
-def sparsity_predicate(mode: str):
-    """The predicate function for a sparsity mode name."""
-    if mode == C_SPARSE:
-        return is_c_sparse
-    if mode == WEAK_C_SPARSE:
-        return is_weak_c_sparse
-    raise ValueError(f"unknown sparsity mode {mode!r}; expected one of {SPARSITY_MODES}")
-
-
 def _require_square(board: Board) -> None:
     if board.n != board.m:
         raise ValueError(f"operation requires a square board, got {board.n}x{board.m}")
@@ -272,96 +255,58 @@ def _check_bruteforce_size(board: Board) -> None:
         )
 
 
+def _extends_c_sparse(chosen: list[Cell], cell: Cell) -> bool:
+    # The new cell is the set's maximum, so it may join its column only
+    # directly after that column's last member: the previous maximum.
+    return not chosen or chosen[-1].col == cell.col or all(x.col != cell.col for x in chosen)
+
+
+def _extends_weak_c_sparse(chosen: list[Cell], cell: Cell) -> bool:
+    # Rows arrive non-decreasing, so the column's first member has its
+    # minimum row; an unused column gives the empty interval (row, row).
+    row, col = cell
+    lo = next((r for r, c in chosen if c == col), row)
+    return all(c == col or not lo < r < row for r, c in chosen)
+
+
+# Per mode, whether a cell extends a feasible set whose members all precede it.
+_STEP_TESTS = {C_SPARSE: _extends_c_sparse, WEAK_C_SPARSE: _extends_weak_c_sparse}
+
+
 def bruteforce_max_sparse(board: Board, mode: str = C_SPARSE) -> tuple[int, CellSet]:
     """Exhaustive maximum-size set satisfying the sparsity predicate.
 
     Branch and bound over subsets in cell order.  Both predicates are
     antitone (supersets of violating sets violate), so branches extend only
-    while the chosen prefix stays feasible; a cardinality bound prunes the
-    rest.  Returns the size and the first maximum witness in search order.
+    while the chosen prefix stays feasible, which the mode's step test
+    decides from the prefix alone; a cardinality bound prunes the rest.
+    Returns the size and the first maximum witness in search order.
     """
-    if mode not in SPARSITY_MODES:
-        raise ValueError(f"unknown sparsity mode {mode!r}; expected one of {SPARSITY_MODES}")
+    extends = _STEP_TESTS.get(mode)
+    if extends is None:
+        raise ValueError(f"unknown sparsity mode {mode!r}; expected one of {tuple(_STEP_TESTS)}")
     _check_bruteforce_size(board)
     cells = list(board.cells())
-    if mode == C_SPARSE:
-        best = _max_c_sparse(cells)
-    else:
-        best = _max_weak_sparse(cells)
+    total = len(cells)
+    best: list[Cell] = []
+    chosen: list[Cell] = []
+
+    def extend(idx: int) -> None:
+        nonlocal best
+        if len(chosen) + (total - idx) <= len(best):
+            return
+        if idx == total:
+            best = chosen[:]
+            return
+        cell = cells[idx]
+        if extends(chosen, cell):
+            chosen.append(cell)
+            extend(idx + 1)
+            chosen.pop()
+        extend(idx + 1)
+
+    extend(0)
     return len(best), CellSet(board, best)
-
-
-def _max_c_sparse(cells: list[Cell]) -> list[Cell]:
-    total = len(cells)
-    best: list[Cell] = []
-    chosen: list[Cell] = []
-    # Cells arrive in increasing order, so a new cell keeps the set c-sparse
-    # iff its column is unused or that column's previous cell is the current
-    # overall maximum of the set.
-    col_last: dict[int, Cell] = {}
-
-    def extend(idx: int) -> None:
-        nonlocal best
-        if len(chosen) + (total - idx) <= len(best):
-            return
-        if idx == total:
-            if len(chosen) > len(best):
-                best = chosen[:]
-            return
-        cell = cells[idx]
-        previous = col_last.get(cell.col)
-        if previous is None or previous == chosen[-1]:
-            col_last[cell.col] = cell
-            chosen.append(cell)
-            extend(idx + 1)
-            chosen.pop()
-            if previous is None:
-                del col_last[cell.col]
-            else:
-                col_last[cell.col] = previous
-        extend(idx + 1)
-
-    extend(0)
-    return best
-
-
-def _max_weak_sparse(cells: list[Cell]) -> list[Cell]:
-    total = len(cells)
-    best: list[Cell] = []
-    chosen: list[Cell] = []
-    # Rows arrive non-decreasing, so the first occurrence of a column is its
-    # minimum row.  A new cell (r, c) violates iff some chosen cell of another
-    # column has row strictly between that minimum and r.
-    col_min: dict[int, int] = {}
-
-    def admissible(cell: Cell) -> bool:
-        lo = col_min.get(cell.col)
-        if lo is None:
-            return True
-        return all(x.col == cell.col or not lo < x.row < cell.row for x in chosen)
-
-    def extend(idx: int) -> None:
-        nonlocal best
-        if len(chosen) + (total - idx) <= len(best):
-            return
-        if idx == total:
-            if len(chosen) > len(best):
-                best = chosen[:]
-            return
-        cell = cells[idx]
-        if admissible(cell):
-            fresh_col = cell.col not in col_min
-            if fresh_col:
-                col_min[cell.col] = cell.row
-            chosen.append(cell)
-            extend(idx + 1)
-            chosen.pop()
-            if fresh_col:
-                del col_min[cell.col]
-        extend(idx + 1)
-
-    extend(0)
-    return best
 
 
 def bruteforce_min_partition(board: Board) -> tuple[int, CellPartition]:

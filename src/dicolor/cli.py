@@ -99,7 +99,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         max_n=args.max_n,
         max_k=args.max_k,
         seed=args.seed,
-        stretch=args.stretch,
         npartite_case=case,
     )
     width = max(len(c.claim_id) for c in claims)
@@ -149,12 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a claim suite and print a pass/fail table")
     ver.add_argument("suite", choices=list(SUITES) + ["all"])
-    ver.add_argument("--max-n", type=int, help="largest board side for board-based suites")
+    ver.add_argument(
+        "--max-n",
+        type=int,
+        help="largest board side for the diagonals suite (default 15) and the sigma brute force "
+        "(default 5; it stops at the largest square board within the brute-force cell cap)",
+    )
     ver.add_argument("--max-k", type=int, help="largest tournament parameter")
     ver.add_argument("--n", type=int, help="n-partite part count (npartite suite)")
     ver.add_argument("--m", type=int, help="n-partite part size (npartite suite)")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--stretch", action="store_true", help="include the 8x4 n-partite case")
     ver.set_defaults(func=cmd_verify)
 
     return parser

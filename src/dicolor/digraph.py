@@ -12,6 +12,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .board import Cell
 
+# Documents may not declare more vertices than this: per-vertex storage is
+# allocated up front, and the largest instance in use has about 1,300.
+_MAX_JSON_VERTICES = 100_000
+
 
 class UnlabeledDigraphError(ValueError):
     """An operation needed cell labels on a digraph that has none."""
@@ -149,13 +153,6 @@ def is_tournament(g: Digraph) -> bool:
     return len(g.arcs) == n * (n - 1) // 2
 
 
-def tournament_is_acyclic(g: Digraph) -> bool:
-    """Fast acyclicity for tournaments: acyclic iff no directed triangle."""
-    if not is_tournament(g):
-        raise ValueError("triangle-based acyclicity applies to tournaments only")
-    return find_directed_triangle(g) is None
-
-
 def digraph_to_json(g: Digraph) -> dict:
     """Serialize to {"vertices", "arcs", "labels"?}; vertices 0-based, cells 1-based."""
     doc: dict = {
@@ -171,6 +168,8 @@ def digraph_from_json(doc: dict) -> Digraph:
     """Parse a digraph document, validating the orientation invariants."""
     try:
         n = int(doc["vertices"])
+        if n > _MAX_JSON_VERTICES:
+            raise ValueError(f"{n} vertices exceeds the {_MAX_JSON_VERTICES}-vertex input cap")
         arcs = [(int(u), int(v)) for u, v in doc["arcs"]]
         raw_labels = doc.get("labels")
         labels = None

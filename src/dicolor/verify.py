@@ -14,11 +14,11 @@ import random
 from dataclasses import dataclass
 
 from .board import (
+    MAX_BRUTEFORCE_CELLS,
     Board,
     CellSet,
     bruteforce_max_sparse,
     bruteforce_min_partition,
-    cell_cmp,
     diagonal_band,
     is_c_sparse,
     is_weak_c_sparse,
@@ -39,7 +39,9 @@ from .solvers import (
 SUITES = ("order", "bounds", "diagonals", "sigma", "tk", "equivalence", "npartite")
 
 DEFAULT_NPARTITE_CASES = ((3, 2), (4, 2), (6, 3))
-STRETCH_CASE = (8, 4)
+_EQUIVALENCE_SAMPLES = 10_000
+# Largest square board the minimum-partition brute force accepts.
+_SIGMA_MAX_N = math.isqrt(MAX_BRUTEFORCE_CELLS)
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,8 @@ def suite_order() -> list[Claim]:
     claims = []
 
     cells = list(Board(4, 4).cells())
-    total_order = all(
-        cell_cmp(a, b) == -cell_cmp(b, a) and (cell_cmp(a, b) != 0 or a == b)
-        for a in cells
-        for b in cells
-    ) and all(
-        cell_cmp(a, c) < 0
-        for a in cells
-        for b in cells
-        for c in cells
-        if cell_cmp(a, b) < 0 and cell_cmp(b, c) < 0
+    total_order = all((a < b) + (a == b) + (b < a) == 1 for a in cells for b in cells) and all(
+        a < c for a in cells for b in cells for c in cells if a < b < c
     )
     claims.append(
         Claim("order/total-order", "cell comparison is a strict total order (4x4 exhaustive)", total_order)
@@ -155,7 +149,7 @@ def suite_diagonals(max_n: int = 15) -> list[Claim]:
 
 def suite_sigma(max_n: int = 5) -> list[Claim]:
     claims = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(max_n, _SIGMA_MAX_N) + 1):
         want = n // 2 + 1
         got, witness = bruteforce_min_partition(Board(n, n))
         claims.append(
@@ -203,7 +197,7 @@ def suite_tk(max_k: int = 3) -> list[Claim]:
     return claims
 
 
-def suite_equivalence(seed: int = 0, samples: int = 10_000) -> list[Claim]:
+def suite_equivalence(seed: int = 0) -> list[Claim]:
     g2 = build_tournament(2)
     mismatches = sum(
         1 for vs in _subsets(range(9)) if is_acyclic(g2, vs) != is_c_sparse(cell_set_of(g2, vs))
@@ -219,14 +213,14 @@ def suite_equivalence(seed: int = 0, samples: int = 10_000) -> list[Claim]:
     g3 = build_tournament(3)
     rng = random.Random(seed)
     bad = 0
-    for _ in range(samples):
+    for _ in range(_EQUIVALENCE_SAMPLES):
         vs = [v for v in range(25) if rng.random() < 0.5]
         if is_acyclic(g3, vs) != is_c_sparse(cell_set_of(g3, vs)):
             bad += 1
     claims.append(
         Claim(
             "equivalence/t3-random",
-            f"acyclic induced subtournament <=> c-sparse cell set ({samples} seeded subsets, k=3)",
+            f"acyclic induced subtournament <=> c-sparse cell set ({_EQUIVALENCE_SAMPLES} seeded subsets, k=3)",
             bad == 0,
             f"{bad} mismatches",
         )
@@ -234,9 +228,7 @@ def suite_equivalence(seed: int = 0, samples: int = 10_000) -> list[Claim]:
     return claims
 
 
-def suite_npartite(
-    stretch: bool = False, case: tuple[int, int] | None = None
-) -> list[Claim]:
+def suite_npartite(case: tuple[int, int] | None = None) -> list[Claim]:
     claims = []
 
     observation_ok = True
@@ -255,20 +247,17 @@ def suite_npartite(
         )
     )
 
-    cases = [case] if case is not None else list(DEFAULT_NPARTITE_CASES)
-    if case is None and stretch:
-        cases.append(STRETCH_CASE)
+    cases = [case] if case is not None else DEFAULT_NPARTITE_CASES
     for n, m in cases:
         bound = npartite_lower_bound(n, m)
         need = math.ceil(bound)
         g = build_npartite(n, m)
         result = triangle_free_chromatic(g, SolveLimits(max_seconds=600))
+        # A non-optimal status still certifies infeasibility below value.
+        ok = result.value >= need
         if result.status == OPTIMAL:
-            ok = result.value >= need
             detail = f"optimal value {result.value} >= ceil({bound}) = {need}"
         else:
-            # A non-optimal status still certifies infeasibility below value.
-            ok = result.value >= need
             detail = f"{result.status}, certified lower bound {result.value} vs ceil({bound}) = {need}"
         claims.append(
             Claim(
@@ -287,7 +276,6 @@ def run_suites(
     max_n: int | None = None,
     max_k: int | None = None,
     seed: int = 0,
-    stretch: bool = False,
     npartite_case: tuple[int, int] | None = None,
 ) -> list[Claim]:
     """Run the named suites and return their claims sorted by id."""
@@ -309,5 +297,5 @@ def run_suites(
     if "equivalence" in wanted:
         claims += suite_equivalence(seed)
     if "npartite" in wanted:
-        claims += suite_npartite(stretch, npartite_case)
+        claims += suite_npartite(npartite_case)
     return sorted(claims, key=lambda c: c.claim_id)

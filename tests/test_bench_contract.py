@@ -1,0 +1,39 @@
+"""The benchmark under bench/ calls dicolor by name; deleting a name it uses must fail here.
+
+bench/ is read, never imported as a package: tracing.py is loaded from its
+file (it needs only the standard library), and workloads.py is parsed.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import dicolor
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_every_traced_function_is_defined_in_its_home_module():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    missing = [
+        (home, name)
+        for _, home, names in tracing.LAYERS
+        for name in names
+        if not callable(getattr(importlib.import_module(home), name, None))
+    ]
+    assert missing == []
+
+
+def test_every_package_name_the_workloads_use_is_exported():
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "dc"
+    }
+    assert used
+    assert sorted(name for name in used if name not in dicolor.__all__) == []

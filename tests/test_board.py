@@ -10,7 +10,6 @@ from dicolor import (
     CellSet,
     bruteforce_max_sparse,
     bruteforce_min_partition,
-    cell_cmp,
     diagonal_band,
     diagonal_set,
     is_c_sparse,
@@ -40,23 +39,23 @@ def small_boards(max_cells):
 
 class TestCellOrder:
     def test_row_dominates(self):
-        assert cell_cmp(Cell(1, 3), Cell(2, 1)) == -1
+        assert Cell(1, 3) < Cell(2, 1) and not Cell(2, 1) < Cell(1, 3)
 
     def test_equal(self):
-        assert cell_cmp(Cell(2, 2), Cell(2, 2)) == 0
+        assert Cell(2, 2) == Cell(2, 2) and not Cell(2, 2) < Cell(2, 2)
 
     def test_column_breaks_ties(self):
-        assert cell_cmp(Cell(2, 5), Cell(2, 3)) == 1
+        assert Cell(2, 5) > Cell(2, 3) and not Cell(2, 5) < Cell(2, 3)
 
     @given(cells_st, cells_st)
     def test_antisymmetric_and_total(self, a, b):
-        assert cell_cmp(a, b) == -cell_cmp(b, a)
-        assert (cell_cmp(a, b) == 0) == (a == b)
+        assert (a < b) + (a == b) + (b < a) == 1
+        assert (a < b) == (a.row < b.row or (a.row == b.row and a.col < b.col))
 
     @given(cells_st, cells_st, cells_st)
     def test_transitive(self, a, b, c):
-        if cell_cmp(a, b) < 0 and cell_cmp(b, c) < 0:
-            assert cell_cmp(a, c) < 0
+        if a < b and b < c:
+            assert a < c
 
 
 class TestPredicates:
@@ -248,6 +247,29 @@ class TestMaxSparseOracle:
             size_w, witness_w = bruteforce_max_sparse(board, "weak-c-sparse")
             assert size_w == max_sparse_by_enumeration(board, weak_c_sparse_by_definition)
             assert is_weak_c_sparse(witness_w) and len(witness_w) == size_w
+
+    def test_pinned_witnesses(self):
+        # The first maximum witness in search order, so any change to the
+        # search order shows here.
+        def row(r, cols):
+            return [(r, c) for c in cols]
+
+        def col(c, rows):
+            return [(r, c) for r in rows]
+
+        pins = {
+            ((3, 3), "c-sparse"): row(1, range(1, 4)) + col(3, (2, 3)),
+            ((3, 3), "weak-c-sparse"): row(1, range(1, 4)) + row(2, range(1, 4)),
+            ((4, 4), "c-sparse"): row(1, range(1, 5)) + col(4, (2, 3, 4)),
+            ((4, 4), "weak-c-sparse"): row(1, range(1, 4)) + row(2, range(1, 5)) + col(4, (3, 4)),
+            ((2, 8), "c-sparse"): row(1, range(1, 9)) + [(2, 8)],
+            ((2, 8), "weak-c-sparse"): row(1, range(1, 9)) + row(2, range(1, 9)),
+            ((5, 5), "c-sparse"): row(1, range(1, 6)) + col(5, (2, 3, 4, 5)),
+            ((5, 5), "weak-c-sparse"): row(1, range(1, 5)) + row(2, range(1, 6)) + col(5, (3, 4, 5)),
+        }
+        for ((n, m), mode), cells in pins.items():
+            size, witness = bruteforce_max_sparse(Board(n, m), mode)
+            assert (size, witness.sorted_cells()) == (len(cells), cells), (n, m, mode)
 
     def test_guard(self):
         with pytest.raises(BoardTooLargeError):

@@ -154,6 +154,11 @@ class TestVerify:
         assert "PASS" in stdout and "FAIL" not in stdout
         assert "claims passed" in stdout
 
+    def test_sigma_max_n_beyond_brute_force_cap(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "sigma", "--max-n", "6")
+        assert code == 0
+        assert "bruteforce-n=5" in stdout and "bruteforce-n=6" not in stdout
+
     def test_tk_small(self, capsys):
         code, stdout, _ = run(capsys, "verify", "tk", "--max-k", "2")
         assert code == 0

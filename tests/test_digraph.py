@@ -11,9 +11,8 @@ from dicolor import (
     induced,
     is_acyclic,
     is_tournament,
-    tournament_is_acyclic,
 )
-from oracles import has_directed_cycle_by_subsets, random_digraph, random_tournament
+from oracles import has_directed_cycle_by_subsets, random_digraph
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 TRANSITIVE = Digraph(3, [(0, 1), (0, 2), (1, 2)])
@@ -157,20 +156,3 @@ class TestTournamentChecks:
 
     def test_single_vertex(self):
         assert is_tournament(Digraph(1, []))
-
-    def test_fast_path_agrees_with_cycle_detection(self):
-        rng = random.Random(42)
-        for _ in range(500):
-            g = random_tournament(rng, rng.randint(1, 8))
-            assert tournament_is_acyclic(g) == is_acyclic(g)
-
-    def test_three_cycle(self):
-        assert not tournament_is_acyclic(TRIANGLE)
-
-    def test_transitive_four(self):
-        g = Digraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        assert tournament_is_acyclic(g)
-
-    def test_rejects_non_tournament(self):
-        with pytest.raises(ValueError):
-            tournament_is_acyclic(Digraph(3, [(0, 1)]))

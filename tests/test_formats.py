@@ -82,6 +82,15 @@ class TestDigraphJson:
             digraph_from_json({"vertices": 2, "arcs": [], "labels": {"0": [1, 1]}})
 
 
+    def test_huge_vertex_count_rejected_before_allocating(self, monkeypatch):
+        def no_digraph(*args, **kwargs):
+            raise AssertionError("a Digraph was allocated before validation")
+
+        monkeypatch.setattr("dicolor.digraph.Digraph", no_digraph)
+        with pytest.raises(ValueError, match="vertices"):
+            digraph_from_json({"vertices": 10**12, "arcs": []})
+
+
 class TestDot:
     def test_labeled_names(self):
         g = build_tournament(1)

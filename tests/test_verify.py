@@ -17,13 +17,6 @@ def test_claims_sorted_by_id():
     assert ids == sorted(ids)
 
 
-def test_stretch_case_included_on_request():
-    claims = run_suites(["npartite"], stretch=True)
-    ids = {c.claim_id for c in claims}
-    assert "npartite/bound-8x4" in ids
-    assert all(c.passed for c in claims)
-
-
 def test_explicit_case_replaces_defaults():
     claims = run_suites(["npartite"], npartite_case=(8, 4))
     ids = {c.claim_id for c in claims}
@@ -50,4 +43,16 @@ def test_scale_flags_thin_the_suites():
         "sigma/bruteforce-n=1",
         "sigma/bruteforce-n=2",
         "sigma/construction-n<=15",
+    }
+
+
+def test_max_n_above_the_brute_force_cap_stops_sigma_there():
+    claims = run_suites(["sigma", "diagonals"], max_n=7)
+    assert claims and all(c.passed for c in claims)
+    ids = {c.claim_id for c in claims}
+    assert {i for i in ids if i.startswith("sigma/bruteforce")} == {
+        f"sigma/bruteforce-n={n}" for n in range(1, 6)
+    }
+    assert {i for i in ids if i.startswith("diagonals/")} == {
+        f"diagonals/n={n:02d}" for n in (1, 3, 5, 7)
     }
