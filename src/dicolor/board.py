@@ -315,7 +315,9 @@ def bruteforce_min_partition(board: Board) -> tuple[int, CellPartition]:
     A cell set is c-sparse exactly when its cells induce an acyclic
     sub-digraph of the board's tournament, so this is the exact dichromatic
     number of `tournament_from_board`, with the optimal coloring's classes
-    mapped back to cells.  Returns the count with a witness partition.
+    mapped back to cells.  Returns the count with a witness partition.  The
+    count is always proven by search; on square boards the witness may be
+    the diagonal-band partition, which the solver tries as its upper bound.
     """
     # Function-level imports: digraph, generators and solvers import this module.
     from .generators import tournament_from_board

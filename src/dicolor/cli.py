@@ -30,6 +30,13 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _load_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.type == "tournament":
         if args.k is None:
@@ -49,7 +56,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text())
+    doc = _load_json(args.input)
     g = digraph_from_json(doc)
     limits = SolveLimits(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     if args.constraint == "acyclic":
@@ -82,13 +89,16 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_export_svg(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text())
+    doc = _load_json(args.input)
     partition = partition_from_json(doc)
     Path(args.out).write_text(partition_to_svg(partition))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, scale in (("--max-n", args.max_n), ("--max-k", args.max_k)):
+        if scale is not None and scale < 1:
+            return _fail(f"{flag} must be at least 1, got {scale}")
     case = None
     if args.n is not None or args.m is not None:
         if args.n is None or args.m is None:

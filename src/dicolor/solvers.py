@@ -3,11 +3,15 @@
 Two constraints are supported for color classes: "acyclic" (no monochromatic
 directed cycle; the minimum is the dichromatic number) and "triangle-free"
 (no monochromatic directed triangle).  The search is iterative deepening on
-the color count: each level runs one backtracking assignment of vertices in
-index order with symmetry breaking, so the first feasible level is the
-optimum.  The same search run with one color per vertex never backtracks;
-it is the first-fit greedy coloring that seeds the upper end of the range,
-and it runs under the solve's own node and time budget.
+the color count: each level runs one backtracking assignment in saturation
+order (the vertex the fewest colors still admit goes next) with forward
+checking and symmetry breaking, so the first feasible level is the optimum.
+The same search run with one color per vertex never backtracks; it is the
+greedy coloring that seeds the upper end of the range, and it runs under the
+solve's own node and time budget.  When a digraph's labels cover a full
+square board, the diagonal-band partition mapped through the labels is also
+tried as the upper end, once `verify_coloring` accepts it.  Either way every
+smaller color count is proven infeasible by search.
 
 Feasibility of a class is maintained incrementally as a bitmask of the
 vertices that may not join it.  Tournaments and the triangle-free constraint
@@ -25,7 +29,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .board import optimal_c_sparse_partition
 from .digraph import Digraph, find_directed_triangle, is_acyclic, is_tournament
+from .generators import labeled_board
 
 ACYCLIC = "acyclic"
 TRIANGLE_FREE = "triangle-free"
@@ -165,12 +171,16 @@ def _search(
 ) -> list[int] | None:
     """First assignment of at most t feasible classes, or None when there is none.
 
-    Vertices are assigned in index order by backtracking on an explicit
-    stack, trying colors in increasing order; a vertex may open color
-    `used` only, which breaks the symmetry between color names.  The budget
-    ticks once per node, that is once per vertex placed plus once for the
-    root.  With t = n no placement ever fails, because a fresh color always
-    fits, so the search is first-fit greedy and takes n + 1 nodes.
+    Backtracking on an explicit stack in saturation order (DSATUR, Brelaz
+    1979): each node branches on the unassigned vertex that the fewest
+    colors still admit, lowest index first on ties, trying its colors in
+    increasing order.  A vertex may open color `used` only, which breaks the
+    symmetry between color names.  Once all t colors are in use, a node
+    whose chosen vertex admits none of them fails at once (forward
+    checking).  The budget ticks once per node, that is once per vertex
+    placed plus once for the root.  With t = n no placement ever fails,
+    because a fresh color always fits, so the search never backtracks and
+    takes n + 1 nodes.
 
     danger[c] is the set (as a bitmask) of vertices that would break class
     c, so rejecting a color is one AND.  It grows as vertices join:
@@ -180,56 +190,64 @@ def _search(
       class, u included.  When v joins, every member reaching v (A) now
       reaches everything v reaches (B), so every x with an arc into A and
       an arc from B would close a cycle.
+    Each vertex's count of classes whose danger holds it is kept in
+    bit-slices: planes[k] holds bit k of every count.  A placement adds the
+    vertices its class's danger gained, and a top-down scan of the planes
+    over the unassigned vertices finds the largest count.
     """
     n = len(out_mask)
     member = [0] * t
     danger = [0] * t
     reach = [0] * n
     assign = [0] * n
-    # Per placed vertex: its class's danger before it joined, and in the
-    # reachability state the (member, old reach) pairs it changed.
+    order = [0] * n  # the vertex placed at each depth
+    planes = [0] * t.bit_length()
+    # Per placed vertex: its class's danger and the planes before it joined,
+    # and in the reachability state the (member, old reach) pairs it changed.
     saved_danger = [0] * n
+    saved_planes: list[list[int]] = [planes] * n
     saved_reach: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    free = (1 << n) - 1
     tick = budget.tick
     tick()
-    i = used = c = 0
-    while i < n:
-        bit = 1 << i
+    depth = used = c = v = 0  # no class bars any vertex yet, so the root picks vertex 0
+    while depth < n:
+        bit = 1 << v
         top = used + 1 if used < t else t
         while c < top and danger[c] & bit:
             c += 1
         if c < top:
             m = member[c]
-            d = saved_danger[i] = danger[c]
-            in_i = in_mask[i]
-            out_i = out_mask[i]
+            d = saved_danger[v] = danger[c]
+            in_v = in_mask[v]
+            out_v = out_mask[v]
             if triangle:
-                a = m & in_i
+                a = m & in_v
                 while a:
                     lsb = a & -a
-                    d |= out_i & in_mask[lsb.bit_length() - 1]
+                    d |= out_v & in_mask[lsb.bit_length() - 1]
                     a ^= lsb
-                b = m & out_i
+                b = m & out_v
                 while b:
                     lsb = b & -b
-                    d |= out_mask[lsb.bit_length() - 1] & in_i
+                    d |= out_mask[lsb.bit_length() - 1] & in_v
                     b ^= lsb
             else:
                 down = bit
-                b = m & out_i
+                b = m & out_v
                 while b:
                     lsb = b & -b
                     down |= reach[lsb.bit_length() - 1]
                     b ^= lsb
-                reach[i] = down
-                into = in_i
-                changed = saved_reach[i]
+                reach[v] = down
+                into = in_v
+                changed = saved_reach[v]
                 a = m
                 while a:
                     lsb = a & -a
                     u = lsb.bit_length() - 1
                     r = reach[u]
-                    if r & in_i:
+                    if r & in_v:
                         changed.append((u, r))
                         reach[u] = r | down
                         into |= in_mask[u]
@@ -241,22 +259,49 @@ def _search(
                     outof |= out_mask[lsb.bit_length() - 1]
                     b ^= lsb
                 d |= into & outof
+            free ^= bit
+            carry = (d ^ danger[c]) & free
+            saved_planes[v] = planes
+            if carry:
+                planes = planes[:]
+                for k, p in enumerate(planes):
+                    planes[k] = p ^ carry
+                    carry &= p
+                    if not carry:
+                        break
             danger[c] = d
             member[c] = m | bit
-            assign[i] = c
+            assign[v] = c
+            order[depth] = v
             if c == used:
                 used += 1
-            i += 1
+            depth += 1
             tick()
-            c = 0
-        elif i == 0:
+            # Pick the unassigned vertex barred from the most classes; no
+            # count exceeds `used`, so higher planes are empty.
+            pick = free
+            count = 0
+            k = used.bit_length()
+            while k:
+                k -= 1
+                x = pick & planes[k]
+                if x:
+                    pick = x
+                    count |= 1 << k
+            v = (pick & -pick).bit_length() - 1
+            c = t if used == t and count == t else 0
+        elif depth == 0:
             return None
         else:
-            i -= 1
-            c = assign[i]
-            member[c] ^= 1 << i
-            danger[c] = saved_danger[i]
-            changed = saved_reach[i]
+            depth -= 1
+            v = order[depth]
+            bit = 1 << v
+            c = assign[v]
+            member[c] ^= bit
+            danger[c] = saved_danger[v]
+            planes = saved_planes[v]
+            free |= bit
+            changed = saved_reach[v]
             while changed:
                 u, r = changed.pop()
                 reach[u] = r
@@ -271,14 +316,35 @@ def _coloring(g: Digraph, assignment: list[int]) -> Coloring:
 
 
 def greedy_upper_bound(g: Digraph, constraint: str) -> Coloring:
-    """First-fit coloring in vertex order; a feasible upper bound for the solvers.
+    """Greedy coloring in saturation order; a feasible upper bound for the solvers.
 
-    Each vertex takes the least color whose class stays feasible, opening a
+    The next vertex is the one barred from the most classes (lowest index on
+    ties); it takes the least color whose class stays feasible, opening a
     new color when none fits: the exact search run with one color per vertex.
     """
     _check_constraint(constraint)
     budget = _Budget(SolveLimits(max_nodes=g.vertex_count + 1, max_seconds=math.inf))
     return _coloring(g, _search(g.vertex_count, *_search_input(g, constraint), budget))
+
+
+def _band_coloring(g: Digraph) -> Coloring | None:
+    """The diagonal-band partition mapped through g's labels, when they cover
+    a full square board; otherwise None.  Its classes are not checked."""
+    try:
+        board = labeled_board(g)
+    except ValueError:
+        return None
+    if board.n != board.m:
+        return None
+    vertex_of = g.vertex_by_cell()
+    color_of = [0] * g.vertex_count
+    classes = optimal_c_sparse_partition(board).classes
+    for color, part in enumerate(classes):
+        for cell in part.cells:
+            if cell not in vertex_of:
+                return None  # a label lies off the board, so another is missing
+            color_of[vertex_of[cell]] = color
+    return Coloring(g, tuple(color_of), len(classes))
 
 
 def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResult:
@@ -293,14 +359,17 @@ def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResu
     state = _search_input(g, constraint)
     t = 1  # the only bound proven if the budget runs out during greedy
     try:
-        greedy = _coloring(g, _search(n, *state, budget))
-        ub = greedy.num_colors
+        upper = _coloring(g, _search(n, *state, budget))
+        band = _band_coloring(g)
+        if band is not None and band.num_colors < upper.num_colors and verify_coloring(g, band, constraint):
+            upper = band
+        ub = upper.num_colors
         cap = ub if limits.max_colors is None else min(ub, limits.max_colors)
         for t in range(1, cap + 1):
             if t == ub:
-                # Every smaller count is proven infeasible and the greedy
+                # Every smaller count is proven infeasible and the upper
                 # coloring witnesses feasibility at ub.
-                return SolveResult(OPTIMAL, t, greedy, budget.nodes, time.perf_counter() - start)
+                return SolveResult(OPTIMAL, t, upper, budget.nodes, time.perf_counter() - start)
             assignment = _search(t, *state, budget)
             if assignment is not None:
                 certificate = Coloring(g, tuple(assignment), t)

@@ -24,8 +24,8 @@ from .board import (
     is_weak_c_sparse,
     optimal_c_sparse_partition,
 )
-from .digraph import find_directed_triangle, is_acyclic
-from .generators import build_npartite, build_tournament, cell_set_of
+from .digraph import Digraph, find_directed_triangle, is_acyclic
+from .generators import build_npartite, build_tournament, labeled_board
 from .solvers import (
     ACYCLIC,
     OPTIMAL,
@@ -66,6 +66,13 @@ def _subsets(items):
     items = list(items)
     for mask in range(1 << len(items)):
         yield [x for i, x in enumerate(items) if mask >> i & 1]
+
+
+def _cell_sets(g: Digraph):
+    """Vertex subsets of a labeled digraph -> their cell sets, on a board built once."""
+    board = labeled_board(g)
+    labels = g.labels
+    return lambda vertices: CellSet(board, (labels[v] for v in vertices))
 
 
 def suite_order() -> list[Claim]:
@@ -199,9 +206,8 @@ def suite_tk(max_k: int = 3) -> list[Claim]:
 
 def suite_equivalence(seed: int = 0) -> list[Claim]:
     g2 = build_tournament(2)
-    mismatches = sum(
-        1 for vs in _subsets(range(9)) if is_acyclic(g2, vs) != is_c_sparse(cell_set_of(g2, vs))
-    )
+    cells2 = _cell_sets(g2)
+    mismatches = sum(1 for vs in _subsets(range(9)) if is_acyclic(g2, vs) != is_c_sparse(cells2(vs)))
     claims = [
         Claim(
             "equivalence/t2-exhaustive",
@@ -211,11 +217,12 @@ def suite_equivalence(seed: int = 0) -> list[Claim]:
         )
     ]
     g3 = build_tournament(3)
+    cells3 = _cell_sets(g3)
     rng = random.Random(seed)
     bad = 0
     for _ in range(_EQUIVALENCE_SAMPLES):
         vs = [v for v in range(25) if rng.random() < 0.5]
-        if is_acyclic(g3, vs) != is_c_sparse(cell_set_of(g3, vs)):
+        if is_acyclic(g3, vs) != is_c_sparse(cells3(vs)):
             bad += 1
     claims.append(
         Claim(
@@ -235,9 +242,10 @@ def suite_npartite(case: tuple[int, int] | None = None) -> list[Claim]:
     for n in range(1, 4):
         for m in range(1, 4):
             g = build_npartite(n, m)
+            cells = _cell_sets(g)
             for members in _subsets(range(g.vertex_count)):
                 if find_directed_triangle(g, members) is None:
-                    if not is_weak_c_sparse(cell_set_of(g, members)):
+                    if not is_weak_c_sparse(cells(members)):
                         observation_ok = False
     claims.append(
         Claim(
@@ -279,6 +287,9 @@ def run_suites(
     npartite_case: tuple[int, int] | None = None,
 ) -> list[Claim]:
     """Run the named suites and return their claims sorted by id."""
+    for name, scale in (("max_n", max_n), ("max_k", max_k)):
+        if scale is not None and scale < 1:
+            raise ValueError(f"{name} must be at least 1, got {scale}")
     wanted = set(SUITES) if "all" in names else set(names)
     unknown = wanted - set(SUITES)
     if unknown:
@@ -289,11 +300,11 @@ def run_suites(
     if "bounds" in wanted:
         claims += suite_bounds()
     if "diagonals" in wanted:
-        claims += suite_diagonals(max_n or 15)
+        claims += suite_diagonals(15 if max_n is None else max_n)
     if "sigma" in wanted:
-        claims += suite_sigma(max_n or 5)
+        claims += suite_sigma(5 if max_n is None else max_n)
     if "tk" in wanted:
-        claims += suite_tk(max_k or 3)
+        claims += suite_tk(3 if max_k is None else max_k)
     if "equivalence" in wanted:
         claims += suite_equivalence(seed)
     if "npartite" in wanted:

@@ -74,6 +74,13 @@ class TestSolve:
         code, stdout, stderr = run(capsys, "solve", str(path))
         assert code == 2 and stdout == "" and stderr.count("\n") == 1
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, stdout, stderr = run(capsys, "solve", str(path))
+        assert code == 2 and stdout == ""
+        assert "nested too deeply" in stderr and "Traceback" not in stderr
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "solve", str(tmp_path / "absent.json"))
         assert code == 2
@@ -179,6 +186,13 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2
+
+    @pytest.mark.parametrize("suite, flag", [("diagonals", "--max-n"), ("sigma", "--max-n"), ("tk", "--max-k")])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_scale_below_one_exits_2(self, capsys, suite, flag, value):
+        code, stdout, stderr = run(capsys, "verify", suite, flag, value)
+        assert code == 2 and stdout == ""
+        assert flag in stderr and stderr.count("\n") == 1
 
 
 class TestUsage:

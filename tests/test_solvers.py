@@ -122,8 +122,14 @@ class TestExactSolvers:
 
     def test_matches_partition_enumeration_random(self):
         rng = random.Random(99)
-        for _ in range(40):
-            g = random_digraph(rng, rng.randint(1, 6), rng.random())
+        graphs = [random_digraph(rng, rng.randint(1, 6), rng.random()) for _ in range(40)]
+        # Dense random arcs under the 3x3 board's labels: the solver tries the
+        # 2-class band coloring as an upper bound, some band class often
+        # breaks the constraint, and the greedy bound often needs 3 colors, so a
+        # band coloring used unchecked would be returned as optimal.
+        cells = list(Board(3, 3).cells())
+        graphs += [Digraph(9, random_digraph(rng, 9, 0.5 + rng.random() / 2).arcs, cells) for _ in range(20)]
+        for g in graphs:
             for constraint, solve in ((ACYCLIC, dichromatic_number), (TRIANGLE_FREE, triangle_free_chromatic)):
                 result = solve(g)
                 assert result.status == OPTIMAL
@@ -189,6 +195,14 @@ class TestExactSolvers:
             assert dichromatic_number(build_tournament(k)).value == sigma
         assert dichromatic_number(build_tournament(3)).value == 5 // 2 + 1
 
+    def test_t4_is_solved_within_a_million_nodes(self):
+        # Levels 1-3 are proven infeasible by search; the diagonal-band
+        # partition of the 7x7 board witnesses level 4.
+        g = build_tournament(4)
+        result = dichromatic_number(g, SolveLimits(max_nodes=1_000_000))
+        assert result.status == OPTIMAL and result.value == 4
+        assert verify_coloring(g, result.certificate, ACYCLIC)
+
 
 class TestLimits:
     def test_node_limit_aborts(self):
@@ -198,11 +212,11 @@ class TestLimits:
         assert result.certificate is None
 
     def test_aborted_value_is_proven_bound(self):
-        # enough nodes to finish levels 1 and 2 but not 3
-        result = dichromatic_number(build_tournament(3), SolveLimits(max_nodes=600))
+        # enough nodes to finish levels 1 and 2 of T_4 (77 nodes) but not 3
+        result = dichromatic_number(build_tournament(4), SolveLimits(max_nodes=1000))
         assert result.status == ABORTED_AT_LIMIT
-        assert result.value in (1, 2, 3)
-        full = dichromatic_number(build_tournament(3))
+        assert result.value in (2, 3, 4)
+        full = dichromatic_number(build_tournament(4))
         assert result.value <= full.value
 
     def test_time_limit_covers_greedy(self):
@@ -276,13 +290,13 @@ class TestResultSerialization:
         assert "colors" not in doc
 
     def test_deterministic_node_counts(self):
-        # Pinned values: any change to the search order, the symmetry breaking
-        # or the node accounting (n + 1 greedy nodes, then one per search
-        # node) moves them.
+        # Pinned values: any change to the search order, the symmetry breaking,
+        # the forward checking, the band upper bound or the node accounting
+        # (n + 1 greedy nodes, then one per search node) moves them.
         cases = [
-            (build_tournament(3), dichromatic_number, 3444, "0001222011120001222011120"),
-            (build_npartite(6, 3), triangle_free_chromatic, 355, "000000111111222222"),
-            (random_digraph(random.Random(6), 18, 0.5), dichromatic_number, 147, "000101001100010111"),
+            (build_tournament(3), dichromatic_number, 51, "0221100221100221100221100"),
+            (build_npartite(6, 3), triangle_free_chromatic, 89, "000000111111222222"),
+            (random_digraph(random.Random(6), 18, 0.5), dichromatic_number, 60, "000101001100010111"),
         ]
         for g, solve, nodes, colors in cases:
             a = solve(g)

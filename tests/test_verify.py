@@ -56,3 +56,9 @@ def test_max_n_above_the_brute_force_cap_stops_sigma_there():
     assert {i for i in ids if i.startswith("diagonals/")} == {
         f"diagonals/n={n:02d}" for n in (1, 3, 5, 7)
     }
+
+
+@pytest.mark.parametrize("scale", [{"max_n": 0}, {"max_n": -1}, {"max_k": 0}, {"max_k": -1}])
+def test_scale_below_one_rejected(scale):
+    with pytest.raises(ValueError, match=next(iter(scale))):
+        run_suites(["diagonals", "tk"], **scale)
