@@ -11,8 +11,6 @@ from .board import (
     CellSet,
     bruteforce_max_sparse,
     bruteforce_min_partition,
-    cell_set_from_json,
-    cell_set_to_json,
     diagonal_band,
     diagonal_set,
     is_c_sparse,
@@ -21,7 +19,6 @@ from .board import (
     partition_from_json,
     partition_to_json,
     restrict,
-    restrict_partition,
 )
 from .digraph import (
     Digraph,

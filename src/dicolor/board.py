@@ -218,33 +218,29 @@ def restrict(s: CellSet, keep_rows: Iterable[int], keep_cols: Iterable[int]) -> 
     return CellSet(sub, kept)
 
 
-def restrict_partition(
-    p: CellPartition, keep_rows: Iterable[int], keep_cols: Iterable[int]
-) -> CellPartition:
-    """Restrict every class to the kept rows/columns, dropping emptied classes."""
-    restricted = [restrict(part, keep_rows, keep_cols) for part in p.classes]
-    survivors = [part for part in restricted if part.cells]
-    return CellPartition(survivors[0].board, survivors)
+# Largest side the construction accepts; larger boards are refused before any
+# cell is listed.  Side 500 takes about 4 s and 170 MB through the CLI, and
+# exceeds the side (316) of any square board within the JSON vertex cap.
+_MAX_PARTITION_SIDE = 500
 
 
 def optimal_c_sparse_partition(board: Board) -> CellPartition:
     """A c-sparse partition of a square board into floor(n/2)+1 classes.
 
-    Odd n: the diagonal bands.  Even n: build the partition of the
-    (n+1)x(n+1) board, then delete its last row and column (dropping any
-    class that empties).  floor(n/2)+1 classes is the optimum.
+    Odd n: the diagonal bands.  Even n: the bands of the (n+1)x(n+1) board
+    with its last row and column deleted, which only clips them: no class
+    empties, and deletion preserves c-sparseness.  floor(n/2)+1 classes is
+    the optimum.
     """
     _require_square(board)
     n = board.n
-    if n % 2 == 1:
-        bands = [diagonal_band(board, k) for k in range((n + 1) // 2)]
-        return CellPartition(board, bands)
-    bigger = Board(n + 1, n + 1)
-    keep = range(1, n + 1)
-    odd_partition = CellPartition(
-        bigger, [diagonal_band(bigger, k) for k in range((n + 2) // 2)]
-    )
-    return restrict_partition(odd_partition, keep, keep)
+    if n > _MAX_PARTITION_SIDE:
+        raise ValueError(f"{n}x{n} board exceeds the construction's side cap of {_MAX_PARTITION_SIDE}")
+    side = n | 1
+    bands = [diagonal_band(Board(side, side), k) for k in range((side + 1) // 2)]
+    if side != n:
+        bands = [CellSet(board, (cell for cell in band.cells if cell in board)) for band in bands]
+    return CellPartition(board, bands)
 
 
 def _check_bruteforce_size(board: Board) -> None:
@@ -332,15 +328,6 @@ def bruteforce_min_partition(board: Board) -> tuple[int, CellPartition]:
     return result.value, CellPartition(board, classes)
 
 
-def cell_set_to_json(s: CellSet) -> dict:
-    """Serialize a cell set as a one-class partition document."""
-    return {
-        "n": s.board.n,
-        "m": s.board.m,
-        "classes": [[[cell.row, cell.col] for cell in s.sorted_cells()]],
-    }
-
-
 def partition_to_json(p: CellPartition) -> dict:
     """Serialize a partition to {"n", "m", "classes"} with 1-based cells."""
     return {
@@ -352,24 +339,11 @@ def partition_to_json(p: CellPartition) -> dict:
     }
 
 
-def _board_and_classes(doc: dict) -> tuple[Board, list[list[Cell]]]:
+def partition_from_json(doc: dict) -> CellPartition:
+    """Parse and validate a partition document."""
     try:
         board = Board(int(doc["n"]), int(doc["m"]))
         classes = [[Cell(int(r), int(c)) for r, c in part] for part in doc["classes"]]
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed cell document: {exc}") from exc
-    return board, classes
-
-
-def partition_from_json(doc: dict) -> CellPartition:
-    """Parse and validate a partition document."""
-    board, classes = _board_and_classes(doc)
     return CellPartition(board, [CellSet(board, part) for part in classes])
-
-
-def cell_set_from_json(doc: dict) -> CellSet:
-    """Parse a one-class document back into a cell set."""
-    board, classes = _board_and_classes(doc)
-    if len(classes) != 1:
-        raise ValueError(f"expected exactly one class for a cell set, got {len(classes)}")
-    return CellSet(board, classes[0])

@@ -1,7 +1,8 @@
 """Command-line surface: generate, solve, partition, verify, export-svg.
 
 Exit codes: 0 success, 1 failed verification claims, 2 usage or parse errors,
-3 solve aborted at its resource limit.
+3 solve aborted at its resource limit, or verification claims left undecided
+by one (and none failed).
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     board = Board(args.n, args.n)
     if args.mode == "bruteforce":
-        if args.n > 5:
-            return _fail("bruteforce partition mode is limited to n <= 5")
         count, partition = bruteforce_min_partition(board)
     else:
         partition = optimal_c_sparse_partition(board)
@@ -112,13 +111,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         npartite_case=case,
     )
     width = max(len(c.claim_id) for c in claims)
+    marks = {True: "PASS", False: "FAIL", None: "OPEN"}
     for claim in claims:
-        mark = "PASS" if claim.passed else "FAIL"
         detail = f"  [{claim.detail}]" if claim.detail else ""
-        print(f"{mark}  {claim.claim_id:<{width}}  {claim.statement}{detail}")
-    passed = sum(c.passed for c in claims)
-    print(f"{passed}/{len(claims)} claims passed")
-    return 0 if passed == len(claims) else 1
+        print(f"{marks[claim.passed]}  {claim.claim_id:<{width}}  {claim.statement}{detail}")
+    passed = sum(c.passed is True for c in claims)
+    undecided = sum(c.passed is None for c in claims)
+    print(f"{passed}/{len(claims)} claims passed" + (f", {undecided} undecided" if undecided else ""))
+    if passed + undecided < len(claims):
+        return 1  # some claim failed
+    return 3 if undecided else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

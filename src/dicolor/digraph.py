@@ -29,7 +29,7 @@ class Digraph:
     order.  Instances are safe to share across threads once constructed.
     """
 
-    __slots__ = ("vertex_count", "arcs", "labels", "_out", "_in", "_vertex_by_cell")
+    __slots__ = ("vertex_count", "arcs", "labels", "_out", "_vertex_by_cell")
 
     def __init__(
         self,
@@ -42,7 +42,6 @@ class Digraph:
             raise ValueError("vertex count must be non-negative")
         arc_set = frozenset((int(u), int(v)) for u, v in arcs)
         out: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
         for u, v in arc_set:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
@@ -51,11 +50,9 @@ class Digraph:
             if (v, u) in arc_set:
                 raise ValueError(f"two-cycle between {u} and {v}; orientations allow one arc per pair")
             out[u].append(v)
-            inc[v].append(u)
         self.vertex_count = n
         self.arcs = arc_set
         self._out = tuple(tuple(sorted(vs)) for vs in out)
-        self._in = tuple(tuple(sorted(vs)) for vs in inc)
         if labels is None:
             self.labels: tuple[Cell, ...] | None = None
             self._vertex_by_cell: dict[Cell, int] = {}
@@ -70,12 +67,6 @@ class Digraph:
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
 
     def vertex_by_cell(self) -> Mapping[Cell, int]:
         if self.labels is None:

@@ -28,10 +28,28 @@ def orient_pair(a: Cell, b: Cell) -> tuple[Cell, Cell]:
     return (a, b) if a > b else (b, a)
 
 
-def _board_vertices(n: int, m: int) -> tuple[Board, list[Cell], dict[Cell, int]]:
+# Largest cell-pair count a construction enumerates.  T_19 (1,369 cells,
+# 936,396 pairs) is the largest board tournament under it; larger boards are
+# refused before any cell is listed.
+_MAX_CELL_PAIRS = 10**6
+
+
+def _board_digraph(n: int, m: int, across_rows_only: bool) -> Digraph:
+    """Orient the cell pairs of an n x m board, skipping same-row pairs when
+    across_rows_only; vertices in cell order."""
     board = Board(n, m)
+    pairs = board.cell_count * (board.cell_count - 1) // 2
+    if pairs > _MAX_CELL_PAIRS:
+        raise ValueError(f"{n}x{m} board has {pairs} cell pairs; generation is capped at {_MAX_CELL_PAIRS}")
     cells = list(board.cells())
-    return board, cells, {cell: v for v, cell in enumerate(cells)}
+    vertex_of = {cell: v for v, cell in enumerate(cells)}
+    arcs = []
+    for a, b in combinations(cells, 2):
+        if across_rows_only and a.row == b.row:
+            continue
+        src, dst = orient_pair(a, b)
+        arcs.append((vertex_of[src], vertex_of[dst]))
+    return Digraph(len(cells), arcs, cells)
 
 
 def tournament_from_board(n: int, m: int) -> Digraph:
@@ -41,12 +59,7 @@ def tournament_from_board(n: int, m: int) -> Digraph:
     odd-sided boards produced by build_tournament; other shapes are exposed
     for experimentation.
     """
-    _, cells, vertex_of = _board_vertices(n, m)
-    arcs = []
-    for a, b in combinations(cells, 2):
-        src, dst = orient_pair(a, b)
-        arcs.append((vertex_of[src], vertex_of[dst]))
-    return Digraph(len(cells), arcs, cells)
+    return _board_digraph(n, m, across_rows_only=False)
 
 
 def build_tournament(k: int) -> Digraph:
@@ -65,14 +78,7 @@ def build_npartite(n: int, m: int) -> Digraph:
     """
     if n < 1 or m < 1:
         raise ValueError(f"part count and part size must be >= 1, got n={n}, m={m}")
-    _, cells, vertex_of = _board_vertices(n, m)
-    arcs = []
-    for a, b in combinations(cells, 2):
-        if a.row == b.row:
-            continue
-        src, dst = orient_pair(a, b)
-        arcs.append((vertex_of[src], vertex_of[dst]))
-    return Digraph(len(cells), arcs, cells)
+    return _board_digraph(n, m, across_rows_only=True)
 
 
 def cell_of_vertex(g: Digraph, v: int) -> Cell:
@@ -100,7 +106,7 @@ def labeled_board(g: Digraph) -> Board:
     if not g.labels:
         raise ValueError("empty digraph has no board")
     board = Board(max(c.row for c in g.labels), max(c.col for c in g.labels))
-    if len(g.labels) != board.cell_count:
+    if len(g.labels) != board.cell_count or not all(cell in board for cell in g.labels):
         raise ValueError("labels do not cover a full board")
     return board
 

@@ -329,22 +329,14 @@ def greedy_upper_bound(g: Digraph, constraint: str) -> Coloring:
 
 def _band_coloring(g: Digraph) -> Coloring | None:
     """The diagonal-band partition mapped through g's labels, when they cover
-    a full square board; otherwise None.  Its classes are not checked."""
+    a full square board within the construction's side cap; otherwise None.
+    Its classes are not checked."""
     try:
-        board = labeled_board(g)
+        partition = optimal_c_sparse_partition(labeled_board(g))
     except ValueError:
         return None
-    if board.n != board.m:
-        return None
-    vertex_of = g.vertex_by_cell()
-    color_of = [0] * g.vertex_count
-    classes = optimal_c_sparse_partition(board).classes
-    for color, part in enumerate(classes):
-        for cell in part.cells:
-            if cell not in vertex_of:
-                return None  # a label lies off the board, so another is missing
-            color_of[vertex_of[cell]] = color
-    return Coloring(g, tuple(color_of), len(classes))
+    class_of = partition.class_of()
+    return Coloring(g, tuple(class_of[cell] for cell in g.labels), len(partition))
 
 
 def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResult:

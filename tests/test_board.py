@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dicolor.board
 from dicolor import (
     Board,
     BoardTooLargeError,
@@ -180,6 +181,23 @@ class TestOptimalPartition:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             optimal_c_sparse_partition(Board(3, 4))
+
+    def test_even_boards_are_the_next_odd_construction_with_last_row_and_column_deleted(self):
+        for n in range(2, 21, 2):
+            keep = range(1, n + 1)
+            odd = optimal_c_sparse_partition(Board(n + 1, n + 1))
+            even = optimal_c_sparse_partition(Board(n, n))
+            deleted = [restrict(part, keep, keep).cells for part in odd.classes]
+            assert [part.cells for part in even.classes] == deleted
+
+    def test_oversized_side_refused_before_any_band_is_built(self, monkeypatch):
+        def built(board, k):
+            raise AssertionError("a band was built")
+
+        monkeypatch.setattr(dicolor.board, "diagonal_band", built)
+        for n in (501, 502, 10**9):
+            with pytest.raises(ValueError, match="cap"):
+                optimal_c_sparse_partition(Board(n, n))
 
 
 class TestRestrict:

@@ -2,8 +2,15 @@ import json
 
 import pytest
 
-from dicolor import build_tournament, digraph_from_json, digraph_to_json
+import dicolor.board
+from dicolor import Board, build_tournament, digraph_from_json, digraph_to_json, verify
 from dicolor.cli import main
+from dicolor.solvers import ABORTED_AT_LIMIT, SolveResult
+
+
+def aborted_at(value):
+    """A stand-in solver whose every solve aborts having proven `value`."""
+    return lambda g, limits=None: SolveResult(ABORTED_AT_LIMIT, value, None, 0, 0.0)
 
 
 def run(capsys, *argv):
@@ -43,6 +50,17 @@ class TestGenerate:
         assert code == 2
         code, _, _ = run(capsys, "generate", "npartite", "--n", "3", "--out", str(tmp_path / "x"))
         assert code == 2
+
+
+    def test_oversized_board_exits_2_before_listing_cells(self, tmp_path, capsys, monkeypatch):
+        def listed(board):
+            raise AssertionError("cells were listed")
+
+        monkeypatch.setattr(Board, "cells", listed)
+        out = tmp_path / "t1000.json"
+        code, stdout, stderr = run(capsys, "generate", "tournament", "--k", "1000", "--out", str(out))
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1 and "capped" in stderr
+        assert not out.exists()
 
 
 class TestSolve:
@@ -120,6 +138,14 @@ class TestPartition:
         code, _, stderr = run(capsys, "partition", "bruteforce", "--n", "6")
         assert code == 2 and "error" in stderr
 
+    def test_construct_oversize_exits_2_before_building_bands(self, capsys, monkeypatch):
+        def built(board, k):
+            raise AssertionError("a band was built")
+
+        monkeypatch.setattr(dicolor.board, "diagonal_band", built)
+        code, stdout, stderr = run(capsys, "partition", "construct", "--n", "501")
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1 and "cap" in stderr
+
     def test_svg_output(self, tmp_path, capsys):
         svg_path = tmp_path / "p7.svg"
         code, _, _ = run(capsys, "partition", "construct", "--n", "7", "--out", str(tmp_path / "p.json"), "--svg", str(svg_path))
@@ -182,6 +208,21 @@ class TestVerify:
         assert code == 0
         ids = [line.split()[1] for line in stdout.splitlines() if line.startswith(("PASS", "FAIL"))]
         assert ids == sorted(ids)
+
+    def test_undecided_claims_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "dichromatic_number", aborted_at(1))
+        code, stdout, _ = run(capsys, "verify", "tk", "--max-k", "2")
+        assert code == 3
+        lines = stdout.splitlines()
+        assert [line.split()[:2] for line in lines[:2]] == [["OPEN", "tk/k=1"], ["OPEN", "tk/k=2"]]
+        assert lines[2] == "0/2 claims passed, 2 undecided"
+
+    def test_failed_claim_outranks_undecided(self, capsys, monkeypatch):
+        # a proven chi(T_1) >= 2 refutes chi(T_1) = 1, while chi(T_2) >= 2 decides nothing
+        monkeypatch.setattr(verify, "dichromatic_number", aborted_at(2))
+        code, stdout, _ = run(capsys, "verify", "tk", "--max-k", "2")
+        assert code == 1
+        assert [line[:4] for line in stdout.splitlines()] == ["FAIL", "OPEN", "0/2 "]
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")

@@ -10,8 +10,6 @@ from dicolor import (
     Digraph,
     build_npartite,
     build_tournament,
-    cell_set_from_json,
-    cell_set_to_json,
     digraph_from_json,
     digraph_to_dot,
     digraph_to_json,
@@ -35,16 +33,6 @@ class TestPartitionJson:
         doc = partition_to_json(p)
         assert doc["n"] == 3 and doc["m"] == 3
         assert all(isinstance(pair, list) and len(pair) == 2 for part in doc["classes"] for pair in part)
-
-    def test_cell_set_serializes_as_one_class(self):
-        s = CellSet(Board(2, 3), [(1, 2), (2, 1)])
-        doc = cell_set_to_json(s)
-        assert doc == {"n": 2, "m": 3, "classes": [[[1, 2], [2, 1]]]}
-        assert cell_set_from_json(doc).cells == s.cells
-
-    def test_cell_set_rejects_multi_class(self):
-        with pytest.raises(ValueError):
-            cell_set_from_json({"n": 1, "m": 2, "classes": [[[1, 1]], [[1, 2]]]})
 
     def test_partition_parse_validates(self):
         with pytest.raises(ValueError):

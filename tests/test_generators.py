@@ -71,7 +71,7 @@ class TestTournament:
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
                 src, dst = orient_pair(cell_of_vertex(g, u), cell_of_vertex(g, v))
-                assert g.has_arc(vertex_of_cell(g, src), vertex_of_cell(g, dst))
+                assert (vertex_of_cell(g, src), vertex_of_cell(g, dst)) in g.arcs
 
     def test_single_column_induces_transitive_chain(self):
         g = build_tournament(2)
@@ -122,13 +122,30 @@ class TestNPartite:
         b = vertex_of_cell(g, Cell(2, 2))
         c = vertex_of_cell(g, Cell(3, 1))
         # orientation rule: (1,1)->(3,1) same column, (3,1)->(2,2) and (2,2)->(1,1) cross column
-        assert g.has_arc(a, c) and g.has_arc(c, b) and g.has_arc(b, a)
+        assert {(a, c), (c, b), (b, a)} <= g.arcs
         assert find_directed_triangle(g, within={a, b, c}) is not None
 
     def test_same_column_chain_acyclic(self):
         g = build_npartite(4, 3)
         column = [vertex_of_cell(g, Cell(i, 2)) for i in range(1, 5)]
         assert is_acyclic(induced(g, column))
+
+
+class TestSizeCap:
+    def test_oversized_boards_refused_before_any_cell_is_listed(self, monkeypatch):
+        def listed(board):
+            raise AssertionError("cells were listed")
+
+        monkeypatch.setattr(Board, "cells", listed)
+        with pytest.raises(ValueError, match="capped"):
+            build_tournament(20)  # 1,521 cells, 1,155,960 pairs
+        with pytest.raises(ValueError, match="capped"):
+            build_npartite(10**6, 10**6)
+        with pytest.raises(ValueError, match="capped"):
+            tournament_from_board(1, 1415)  # 1,000,405 pairs
+        # T_19 has 936,396 cell pairs, under the cap, so it gets as far as listing its cells
+        with pytest.raises(AssertionError, match="listed"):
+            build_tournament(19)
 
 
 class TestLabelBridges:
@@ -144,6 +161,12 @@ class TestLabelBridges:
     def test_labeled_board_of_generated(self):
         assert labeled_board(build_npartite(3, 2)) == Board(3, 2)
         assert labeled_board(build_tournament(3)) == Board(5, 5)
+
+    def test_labeled_board_rejects_labels_off_the_board(self):
+        # four distinct labels with maxima 2 and 2, but (0, 1) is off the 2x2 board
+        g = Digraph(4, [], [(0, 1), (1, 2), (2, 1), (2, 2)])
+        with pytest.raises(ValueError, match="cover"):
+            labeled_board(g)
 
     def test_cell_set_of(self):
         g = build_tournament(2)

@@ -107,6 +107,12 @@ class TestExactSolvers:
         assert dichromatic_number(g).value == 1
         assert triangle_free_chromatic(g).value == 1
 
+    def test_labels_off_their_board_skip_the_band_bound(self):
+        # labels with maxima 2 and 2 that miss (1, 1): no full square board to band
+        g = Digraph(4, [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 1), (2, 2)])
+        result = dichromatic_number(g)
+        assert result.status == OPTIMAL and result.value == 2
+
     def test_empty_digraph(self):
         result = dichromatic_number(Digraph(0, []))
         assert result.status == OPTIMAL and result.value == 0

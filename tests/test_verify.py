@@ -1,6 +1,13 @@
 import pytest
 
+from dicolor import verify
+from dicolor.solvers import ABORTED_AT_LIMIT, SolveResult
 from dicolor.verify import run_suites
+
+
+def aborted_at(value):
+    """A stand-in solver whose every solve aborts having proven `value`."""
+    return lambda g, limits=None: SolveResult(ABORTED_AT_LIMIT, value, None, 0, 0.0)
 
 
 def test_all_suites_pass_at_default_scale():
@@ -62,3 +69,21 @@ def test_max_n_above_the_brute_force_cap_stops_sigma_there():
 def test_scale_below_one_rejected(scale):
     with pytest.raises(ValueError, match=next(iter(scale))):
         run_suites(["diagonals", "tk"], **scale)
+
+
+def test_aborted_solve_that_proves_too_little_leaves_the_claim_undecided(monkeypatch):
+    monkeypatch.setattr(verify, "dichromatic_number", aborted_at(1))
+    monkeypatch.setattr(verify, "triangle_free_chromatic", aborted_at(1))
+    claims = run_suites(["tk", "npartite"], max_k=2, npartite_case=(3, 2))
+    verdicts = {c.claim_id: c.passed for c in claims}
+    # chi(T_k) >= 1 neither settles nor contradicts chi(T_k) = k; 1 is below ceil(6/5) = 2
+    assert verdicts == {"tk/k=1": None, "tk/k=2": None, "npartite/bound-3x2": None, "npartite/observation": True}
+
+
+def test_aborted_solve_can_refute_or_settle_a_claim(monkeypatch):
+    monkeypatch.setattr(verify, "dichromatic_number", aborted_at(2))
+    monkeypatch.setattr(verify, "triangle_free_chromatic", aborted_at(2))
+    claims = run_suites(["tk", "npartite"], max_k=2, npartite_case=(3, 2))
+    verdicts = {c.claim_id: c.passed for c in claims}
+    # chi(T_1) >= 2 refutes chi(T_1) = 1; chi >= 2 settles the 3x2 bound ceil(6/5) = 2
+    assert verdicts == {"tk/k=1": False, "tk/k=2": None, "npartite/bound-3x2": True, "npartite/observation": True}
