@@ -12,7 +12,6 @@ from .board import (
     bruteforce_max_sparse,
     bruteforce_min_partition,
     diagonal_band,
-    diagonal_set,
     is_c_sparse,
     is_weak_c_sparse,
     optimal_c_sparse_partition,
@@ -45,7 +44,6 @@ from .render import PALETTE, partition_to_svg
 from .solvers import (
     ABORTED_AT_LIMIT,
     ACYCLIC,
-    LOWER_BOUND_ONLY,
     OPTIMAL,
     TRIANGLE_FREE,
     Coloring,

@@ -163,16 +163,10 @@ def _require_square(board: Board) -> None:
         raise ValueError(f"operation requires a square board, got {board.n}x{board.m}")
 
 
-def diagonal_set(board: Board, offset: int) -> CellSet:
-    """Cells (x, y) of a square board with x - y == offset.
-
-    Empty whenever offset > n-1 or offset < -n+1.
-    """
-    _require_square(board)
-    n = board.n
-    lo = max(1, offset + 1)
-    hi = min(n, n + offset)
-    return CellSet(board, (Cell(x, x - offset) for x in range(lo, hi + 1)))
+def _band_index(cell: Cell, n: int) -> int:
+    # On the odd side s = n | 1, the diagonal offsets 2k, 2k+1, 2k-s and
+    # 2k-s-1 are exactly the row - col residues 2k and 2k+1 mod s+1.
+    return (cell.row - cell.col) % ((n | 1) + 1) // 2
 
 
 def diagonal_band(board: Board, k: int) -> CellSet:
@@ -188,10 +182,7 @@ def diagonal_band(board: Board, k: int) -> CellSet:
         raise ValueError(f"diagonal bands are defined for odd side lengths, got n={n}")
     if not 0 <= k <= (n - 1) // 2:
         raise ValueError(f"band index {k} outside 0..{(n - 1) // 2}")
-    cells: set[Cell] = set()
-    for offset in (2 * k, 2 * k + 1, 2 * k - n, 2 * k - n - 1):
-        cells |= diagonal_set(board, offset).cells
-    return CellSet(board, cells)
+    return CellSet(board, (cell for cell in board.cells() if _band_index(cell, n) == k))
 
 
 def restrict(s: CellSet, keep_rows: Iterable[int], keep_cols: Iterable[int]) -> CellSet:
@@ -229,18 +220,17 @@ def optimal_c_sparse_partition(board: Board) -> CellPartition:
 
     Odd n: the diagonal bands.  Even n: the bands of the (n+1)x(n+1) board
     with its last row and column deleted, which only clips them: no class
-    empties, and deletion preserves c-sparseness.  floor(n/2)+1 classes is
-    the optimum.
+    empties, and deletion preserves c-sparseness.  One pass sorts each cell
+    into its band.  floor(n/2)+1 classes is the optimum.
     """
     _require_square(board)
     n = board.n
     if n > _MAX_PARTITION_SIDE:
         raise ValueError(f"{n}x{n} board exceeds the construction's side cap of {_MAX_PARTITION_SIDE}")
-    side = n | 1
-    bands = [diagonal_band(Board(side, side), k) for k in range((side + 1) // 2)]
-    if side != n:
-        bands = [CellSet(board, (cell for cell in band.cells if cell in board)) for band in bands]
-    return CellPartition(board, bands)
+    bands: list[list[Cell]] = [[] for _ in range(n // 2 + 1)]
+    for cell in board.cells():
+        bands[_band_index(cell, n)].append(cell)
+    return CellPartition(board, [CellSet(board, band) for band in bands])
 
 
 def _check_bruteforce_size(board: Board) -> None:
@@ -343,7 +333,6 @@ def partition_from_json(doc: dict) -> CellPartition:
     """Parse and validate a partition document."""
     try:
         board = Board(int(doc["n"]), int(doc["m"]))
-        classes = [[Cell(int(r), int(c)) for r, c in part] for part in doc["classes"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        return CellPartition(board, [CellSet(board, part) for part in doc["classes"]])
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed cell document: {exc}") from exc
-    return CellPartition(board, [CellSet(board, part) for part in classes])

@@ -161,14 +161,11 @@ def digraph_from_json(doc: dict) -> Digraph:
         n = int(doc["vertices"])
         if n > _MAX_JSON_VERTICES:
             raise ValueError(f"{n} vertices exceeds the {_MAX_JSON_VERTICES}-vertex input cap")
-        arcs = [(int(u), int(v)) for u, v in doc["arcs"]]
         raw_labels = doc.get("labels")
-        labels = None
-        if raw_labels is not None:
-            labels = [Cell(int(raw_labels[str(v)][0]), int(raw_labels[str(v)][1])) for v in range(n)]
-    except (KeyError, TypeError, IndexError) as exc:
+        labels = None if raw_labels is None else [raw_labels[str(v)] for v in range(n)]
+        return Digraph(n, doc["arcs"], labels)
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed digraph document: {exc}") from exc
-    return Digraph(n, arcs, labels)
 
 
 def _vertex_name(g: Digraph, v: int) -> str:

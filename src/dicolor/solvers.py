@@ -38,7 +38,6 @@ TRIANGLE_FREE = "triangle-free"
 CONSTRAINTS = (ACYCLIC, TRIANGLE_FREE)
 
 OPTIMAL = "optimal"
-LOWER_BOUND_ONLY = "lower_bound_only"
 ABORTED_AT_LIMIT = "aborted_at_limit"
 
 
@@ -66,23 +65,16 @@ class Coloring:
 
 @dataclass(frozen=True)
 class SolveLimits:
-    """Search budget: node count, wall-clock seconds, optional color cap.
-
-    With max_colors set, deepening stops after that many colors even if no
-    feasible coloring was found; the result is then a certified lower bound.
-    """
+    """Search budget: node count and wall-clock seconds (math.inf for none)."""
 
     max_nodes: int = 10**8
     max_seconds: float = 60.0
-    max_colors: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
-        if self.max_seconds <= 0:
+        if not self.max_seconds > 0:  # also rejects NaN
             raise ValueError("max_seconds must be positive")
-        if self.max_colors is not None and self.max_colors < 1:
-            raise ValueError("max_colors must be >= 1 when given")
 
 
 @dataclass(frozen=True)
@@ -90,8 +82,6 @@ class SolveResult:
     """Outcome of an exact solve.
 
     status "optimal": value is the exact minimum and certificate witnesses it.
-    status "lower_bound_only": deepening was capped; value is a certified
-    lower bound (every smaller color count was proven infeasible).
     status "aborted_at_limit": the node/time budget ran out; value is the
     best proven lower bound at that point.
     """
@@ -355,20 +345,15 @@ def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResu
         band = _band_coloring(g)
         if band is not None and band.num_colors < upper.num_colors and verify_coloring(g, band, constraint):
             upper = band
-        ub = upper.num_colors
-        cap = ub if limits.max_colors is None else min(ub, limits.max_colors)
-        for t in range(1, cap + 1):
-            if t == ub:
-                # Every smaller count is proven infeasible and the upper
-                # coloring witnesses feasibility at ub.
-                return SolveResult(OPTIMAL, t, upper, budget.nodes, time.perf_counter() - start)
+        for t in range(1, upper.num_colors):
             assignment = _search(t, *state, budget)
             if assignment is not None:
-                certificate = Coloring(g, tuple(assignment), t)
-                return SolveResult(OPTIMAL, t, certificate, budget.nodes, time.perf_counter() - start)
+                upper = Coloring(g, tuple(assignment), t)
+                break
     except _LimitHit:
         return SolveResult(ABORTED_AT_LIMIT, t, None, budget.nodes, time.perf_counter() - start)
-    return SolveResult(LOWER_BOUND_ONLY, cap + 1, None, budget.nodes, time.perf_counter() - start)
+    # Every count below upper's is proven infeasible, and upper is feasible.
+    return SolveResult(OPTIMAL, upper.num_colors, upper, budget.nodes, time.perf_counter() - start)
 
 
 def dichromatic_number(g: Digraph, limits: SolveLimits | None = None) -> SolveResult:

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import dicolor.board
 from dicolor import (
     Board,
     BoardTooLargeError,
@@ -12,7 +11,6 @@ from dicolor import (
     bruteforce_max_sparse,
     bruteforce_min_partition,
     diagonal_band,
-    diagonal_set,
     is_c_sparse,
     is_weak_c_sparse,
     optimal_c_sparse_partition,
@@ -107,21 +105,14 @@ class TestPredicates:
 
 
 class TestDiagonals:
-    def test_main_diagonal(self):
-        s = diagonal_set(Board(3, 3), 0)
-        assert s.cells == {Cell(1, 1), Cell(2, 2), Cell(3, 3)}
-
-    def test_corner(self):
-        assert diagonal_set(Board(3, 3), 2).cells == {Cell(3, 1)}
-
-    def test_out_of_range_offsets_empty(self):
-        board = Board(3, 3)
-        assert not diagonal_set(board, 5).cells
-        assert not diagonal_set(board, -3).cells
-
-    def test_requires_square(self):
-        with pytest.raises(ValueError):
-            diagonal_set(Board(3, 2), 0)
+    def test_bands_are_the_papers_diagonal_offsets(self):
+        # Band k is the union of the diagonals x - y in {2k, 2k+1, 2k-n, 2k-n-1}.
+        for n in range(1, 22, 2):
+            board = Board(n, n)
+            for k in range((n + 1) // 2):
+                offsets = {2 * k, 2 * k + 1, 2 * k - n, 2 * k - n - 1}
+                expected = {c for c in board.cells() if c.row - c.col in offsets}
+                assert diagonal_band(board, k).cells == expected
 
     def test_band_k0_on_7x7(self):
         board = Board(7, 7)
@@ -136,6 +127,10 @@ class TestDiagonals:
         band = diagonal_band(board, 3)
         expected = {c for c in board.cells() if c.row - c.col in (6, 7, -1, -2)}
         assert band.cells == expected
+
+    def test_requires_square(self):
+        with pytest.raises(ValueError):
+            diagonal_band(Board(3, 2), 0)
 
     def test_bands_are_c_sparse(self):
         for n in range(1, 16, 2):
@@ -191,10 +186,10 @@ class TestOptimalPartition:
             assert [part.cells for part in even.classes] == deleted
 
     def test_oversized_side_refused_before_any_band_is_built(self, monkeypatch):
-        def built(board, k):
-            raise AssertionError("a band was built")
+        def listed(board):
+            raise AssertionError("cells were listed")
 
-        monkeypatch.setattr(dicolor.board, "diagonal_band", built)
+        monkeypatch.setattr(Board, "cells", listed)
         for n in (501, 502, 10**9):
             with pytest.raises(ValueError, match="cap"):
                 optimal_c_sparse_partition(Board(n, n))

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-import dicolor.board
 from dicolor import Board, build_tournament, digraph_from_json, digraph_to_json, verify
 from dicolor.cli import main
 from dicolor.solvers import ABORTED_AT_LIMIT, SolveResult
@@ -103,6 +102,27 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", str(tmp_path / "absent.json"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices": 1e400, "arcs": []}',
+            '{"vertices": 2, "arcs": [[0, 1e400]]}',
+            '{"vertices": 1, "arcs": [], "labels": {"0": [1e400, 1]}}',
+        ],
+        ids=["vertices", "arc", "label"],
+    )
+    def test_number_overflowing_an_int_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, stdout, stderr = run(capsys, "solve", str(path))
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1
+
+    def test_nan_time_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t2.json"
+        path.write_text(json.dumps(digraph_to_json(build_tournament(2))))
+        code, stdout, stderr = run(capsys, "solve", str(path), "--max-seconds", "nan")
+        assert code == 2 and stdout == "" and "max_seconds" in stderr
+
     def test_round_trip_no_drift(self, tmp_path, capsys):
         path = tmp_path / "t2.json"
         run(capsys, "generate", "tournament", "--k", "2", "--out", str(path))
@@ -139,10 +159,10 @@ class TestPartition:
         assert code == 2 and "error" in stderr
 
     def test_construct_oversize_exits_2_before_building_bands(self, capsys, monkeypatch):
-        def built(board, k):
-            raise AssertionError("a band was built")
+        def listed(board):
+            raise AssertionError("cells were listed")
 
-        monkeypatch.setattr(dicolor.board, "diagonal_band", built)
+        monkeypatch.setattr(Board, "cells", listed)
         code, stdout, stderr = run(capsys, "partition", "construct", "--n", "501")
         assert code == 2 and stdout == "" and stderr.count("\n") == 1 and "cap" in stderr
 
@@ -178,6 +198,19 @@ class TestExportSvg:
         doc.write_text(json.dumps({"n": 2, "m": 2, "classes": [[[1, 1]]]}))
         code, stdout, _ = run(capsys, "export-svg", str(doc), "--out", str(tmp_path / "x.svg"))
         assert code == 2 and stdout == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 1e400, "m": 1, "classes": []}', '{"n": 1, "m": 1, "classes": [[[1e400, 1]]]}'],
+        ids=["side", "cell"],
+    )
+    def test_number_overflowing_an_int_exits_2(self, tmp_path, capsys, text):
+        doc = tmp_path / "huge.json"
+        doc.write_text(text)
+        out = tmp_path / "x.svg"
+        code, stdout, stderr = run(capsys, "export-svg", str(doc), "--out", str(out))
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1
+        assert not out.exists()
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -7,7 +8,6 @@ import pytest
 from dicolor import (
     ABORTED_AT_LIMIT,
     ACYCLIC,
-    LOWER_BOUND_ONLY,
     OPTIMAL,
     TRIANGLE_FREE,
     Board,
@@ -234,23 +234,14 @@ class TestLimits:
         assert time.perf_counter() - start < 1.0
         assert result.status == ABORTED_AT_LIMIT
 
-    def test_max_colors_certifies_lower_bound(self):
-        result = dichromatic_number(build_tournament(3), SolveLimits(max_colors=2))
-        assert result.status == LOWER_BOUND_ONLY
-        assert result.value == 3
-        assert result.certificate is None
-
-    def test_max_colors_above_optimum_is_harmless(self):
-        result = dichromatic_number(build_tournament(2), SolveLimits(max_colors=9))
-        assert result.status == OPTIMAL and result.value == 2
-
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             SolveLimits(max_nodes=0)
         with pytest.raises(ValueError):
             SolveLimits(max_seconds=0)
         with pytest.raises(ValueError):
-            SolveLimits(max_colors=0)
+            SolveLimits(max_seconds=float("nan"))
+        assert SolveLimits(max_seconds=math.inf).max_seconds == math.inf
 
 
 class TestLowerBoundFormula:
@@ -260,8 +251,6 @@ class TestLowerBoundFormula:
         assert npartite_lower_bound(6, 3) == Fraction(18, 10)
 
     def test_ceiling_use(self):
-        import math
-
         assert math.ceil(npartite_lower_bound(6, 3)) == 2
         assert math.ceil(npartite_lower_bound(8, 4)) == 3
 
@@ -272,8 +261,6 @@ class TestLowerBoundFormula:
             npartite_lower_bound(3, 0)
 
     def test_bound_holds_on_solved_instances(self):
-        import math
-
         for n in range(1, 7):
             for m in range(1, 4):
                 result = triangle_free_chromatic(build_npartite(n, m))
