@@ -14,7 +14,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from dicolor import (
     ACYCLIC,
     build_tournament,
-    cell_of_vertex,
     dichromatic_number,
     greedy_upper_bound,
     is_c_sparse,
@@ -43,7 +42,8 @@ def main():
         print(f"  color {color}: {sorted(cells.cells)}  c-sparse: {is_c_sparse(cells)}")
 
     v = 0
-    print(f"\nvertex {v} is cell {cell_of_vertex(g, v)}; vertices follow the row-major cell order")
+    board = g.board
+    print(f"\nvertex {v} is cell {g.labels[v]} of the {board.n}x{board.m} board; vertices follow the row-major cell order")
 
 
 if __name__ == "__main__":

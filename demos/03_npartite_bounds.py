@@ -18,7 +18,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from dicolor import (
     ACYCLIC,
     TRIANGLE_FREE,
-    SolveLimits,
     build_npartite,
     dichromatic_number,
     npartite_lower_bound,
@@ -32,9 +31,8 @@ def main():
     for n, m in ((3, 2), (4, 2), (6, 3), (8, 4), (9, 5), (10, 4), (12, 4)):
         bound = npartite_lower_bound(n, m)
         g = build_npartite(n, m)
-        limits = SolveLimits(max_seconds=600.0)
-        tf = triangle_free_chromatic(g, limits)
-        dc = dichromatic_number(g, limits)
+        tf = triangle_free_chromatic(g)
+        dc = dichromatic_number(g)
         certified = all(
             r.certificate is not None and verify_coloring(g, r.certificate, constraint)
             for r, constraint in ((tf, TRIANGLE_FREE), (dc, ACYCLIC))

@@ -21,7 +21,6 @@ from .board import (
 )
 from .digraph import (
     Digraph,
-    UnlabeledDigraphError,
     digraph_from_json,
     digraph_to_dot,
     digraph_to_json,
@@ -33,9 +32,7 @@ from .digraph import (
 from .generators import (
     build_npartite,
     build_tournament,
-    cell_of_vertex,
     cell_set_of,
-    labeled_board,
     orient_pair,
     tournament_from_board,
     vertex_of_cell,

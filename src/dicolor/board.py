@@ -306,7 +306,7 @@ def bruteforce_min_partition(board: Board) -> tuple[int, CellPartition]:
     the diagonal-band partition, which the solver tries as its upper bound.
     """
     # Function-level imports: digraph, generators and solvers import this module.
-    from .generators import tournament_from_board
+    from .generators import cell_set_of, tournament_from_board
     from .solvers import OPTIMAL, dichromatic_number
 
     _check_bruteforce_size(board)
@@ -314,7 +314,7 @@ def bruteforce_min_partition(board: Board) -> tuple[int, CellPartition]:
     result = dichromatic_number(g)
     if result.status != OPTIMAL:
         raise RuntimeError(f"{board.n}x{board.m} partition search ended {result.status}")
-    classes = [CellSet(board, (g.labels[v] for v in vs)) for vs in result.certificate.color_classes()]
+    classes = [cell_set_of(g, vs) for vs in result.certificate.color_classes()]
     return result.value, CellPartition(board, classes)
 
 

@@ -2,7 +2,8 @@
 
 Vertices are dense integers 0..vertex_count-1; an arc set may contain at most
 one of (u, v) and (v, u) for any pair and no self-loops.  Graphs built from
-checkerboards carry an optional per-vertex cell label.
+checkerboards carry an optional per-vertex cell label, and know the board
+those labels cover.
 """
 
 from __future__ import annotations
@@ -10,15 +11,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .board import Cell
+from .board import Board, Cell
 
 # Documents may not declare more vertices than this: per-vertex storage is
 # allocated up front, and the largest instance in use has about 1,300.
 _MAX_JSON_VERTICES = 100_000
-
-
-class UnlabeledDigraphError(ValueError):
-    """An operation needed cell labels on a digraph that has none."""
 
 
 class Digraph:
@@ -26,10 +23,13 @@ class Digraph:
 
     Labels, when present, assign a distinct cell to every vertex; generated
     instances label vertices with the cells of a full board in row-major
-    order.  Instances are safe to share across threads once constructed.
+    order.  `board` is the board whose cells are exactly the labels, or None
+    when there is no such board: the digraph is unlabeled or empty, or its
+    labels leave a hole or hold a cell below (1, 1).  Instances are safe to
+    share across threads once constructed.
     """
 
-    __slots__ = ("vertex_count", "arcs", "labels", "_out", "_vertex_by_cell")
+    __slots__ = ("vertex_count", "arcs", "labels", "board", "_out", "_vertex_by_cell")
 
     def __init__(
         self,
@@ -55,6 +55,7 @@ class Digraph:
         self._out = tuple(tuple(sorted(vs)) for vs in out)
         if labels is None:
             self.labels: tuple[Cell, ...] | None = None
+            self.board: Board | None = None
             self._vertex_by_cell: dict[Cell, int] = {}
         else:
             lab = tuple(Cell(int(r), int(c)) for r, c in labels)
@@ -64,13 +65,18 @@ class Digraph:
                 raise ValueError("vertex labels must be distinct cells")
             self.labels = lab
             self._vertex_by_cell = {cell: v for v, cell in enumerate(lab)}
+            # n distinct cells on a board of n cells are all of its cells.
+            rows = [cell.row for cell in lab]
+            cols = [cell.col for cell in lab]
+            full = n > 0 and min(rows) >= 1 and min(cols) >= 1 and max(rows) * max(cols) == n
+            self.board = Board(max(rows), max(cols)) if full else None
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
     def vertex_by_cell(self) -> Mapping[Cell, int]:
         if self.labels is None:
-            raise UnlabeledDigraphError("digraph carries no cell labels")
+            raise ValueError("digraph carries no cell labels")
         return self._vertex_by_cell
 
     def __repr__(self) -> str:

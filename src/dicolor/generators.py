@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .board import Board, Cell, CellSet
-from .digraph import Digraph, UnlabeledDigraphError
+from .digraph import Digraph
 
 
 def orient_pair(a: Cell, b: Cell) -> tuple[Cell, Cell]:
@@ -81,17 +81,8 @@ def build_npartite(n: int, m: int) -> Digraph:
     return _board_digraph(n, m, across_rows_only=True)
 
 
-def cell_of_vertex(g: Digraph, v: int) -> Cell:
-    """The cell labeling vertex v of a generated digraph."""
-    if g.labels is None:
-        raise UnlabeledDigraphError("digraph carries no cell labels")
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} outside 0..{g.vertex_count - 1}")
-    return g.labels[v]
-
-
 def vertex_of_cell(g: Digraph, cell: Cell) -> int:
-    """The vertex labeled by a cell; inverse of cell_of_vertex."""
+    """The vertex labeled by a cell."""
     mapping = g.vertex_by_cell()
     key = Cell(*cell)
     if key not in mapping:
@@ -99,19 +90,14 @@ def vertex_of_cell(g: Digraph, cell: Cell) -> int:
     return mapping[key]
 
 
-def labeled_board(g: Digraph) -> Board:
-    """The board whose cells exactly label the digraph's vertices."""
-    if g.labels is None:
-        raise UnlabeledDigraphError("digraph carries no cell labels")
-    if not g.labels:
-        raise ValueError("empty digraph has no board")
-    board = Board(max(c.row for c in g.labels), max(c.col for c in g.labels))
-    if len(g.labels) != board.cell_count or not all(cell in board for cell in g.labels):
-        raise ValueError("labels do not cover a full board")
-    return board
-
-
 def cell_set_of(g: Digraph, vertices: Iterable[int]) -> CellSet:
     """The cell set labeling a vertex subset, on the digraph's full board."""
-    board = labeled_board(g)
-    return CellSet(board, (cell_of_vertex(g, v) for v in vertices))
+    if g.labels is None:
+        raise ValueError("digraph carries no cell labels")
+    if g.board is None:
+        raise ValueError("labels do not cover a full board")
+    vs = list(vertices)
+    outside = [v for v in vs if not 0 <= v < g.vertex_count]
+    if outside:
+        raise ValueError(f"vertex {outside[0]} outside 0..{g.vertex_count - 1}")
+    return CellSet(g.board, (g.labels[v] for v in vs))

@@ -29,9 +29,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .board import optimal_c_sparse_partition
+from .board import _band_index
 from .digraph import Digraph, find_directed_triangle, is_acyclic, is_tournament
-from .generators import labeled_board
 
 ACYCLIC = "acyclic"
 TRIANGLE_FREE = "triangle-free"
@@ -112,9 +111,7 @@ class _Budget:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise _LimitHit
-        if self.nodes % 2048 == 0 and time.perf_counter() > self.deadline:
+        if self.nodes > self.max_nodes or time.perf_counter() > self.deadline:
             raise _LimitHit
 
 
@@ -319,14 +316,11 @@ def greedy_upper_bound(g: Digraph, constraint: str) -> Coloring:
 
 def _band_coloring(g: Digraph) -> Coloring | None:
     """The diagonal-band partition mapped through g's labels, when they cover
-    a full square board within the construction's side cap; otherwise None.
-    Its classes are not checked."""
-    try:
-        partition = optimal_c_sparse_partition(labeled_board(g))
-    except ValueError:
+    a full square board; otherwise None.  Its classes are not checked."""
+    board = g.board
+    if board is None or board.n != board.m:
         return None
-    class_of = partition.class_of()
-    return Coloring(g, tuple(class_of[cell] for cell in g.labels), len(partition))
+    return _coloring(g, [_band_index(cell, board.n) for cell in g.labels])
 
 
 def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResult:

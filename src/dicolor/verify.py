@@ -19,17 +19,15 @@ from .board import (
     CellSet,
     bruteforce_max_sparse,
     bruteforce_min_partition,
-    diagonal_band,
     is_c_sparse,
     is_weak_c_sparse,
     optimal_c_sparse_partition,
 )
-from .digraph import Digraph, find_directed_triangle, is_acyclic
-from .generators import build_npartite, build_tournament, labeled_board
+from .digraph import find_directed_triangle, is_acyclic
+from .generators import build_npartite, build_tournament, cell_set_of
 from .solvers import (
     ACYCLIC,
     OPTIMAL,
-    SolveLimits,
     dichromatic_number,
     npartite_lower_bound,
     triangle_free_chromatic,
@@ -70,13 +68,6 @@ def _subsets(items):
     items = list(items)
     for mask in range(1 << len(items)):
         yield [x for i, x in enumerate(items) if mask >> i & 1]
-
-
-def _cell_sets(g: Digraph):
-    """Vertex subsets of a labeled digraph -> their cell sets, on a board built once."""
-    board = labeled_board(g)
-    labels = g.labels
-    return lambda vertices: CellSet(board, (labels[v] for v in vertices))
 
 
 def suite_order() -> list[Claim]:
@@ -139,7 +130,7 @@ def suite_diagonals(max_n: int = 15) -> list[Claim]:
     claims = []
     for n in range(1, max_n + 1, 2):
         board = Board(n, n)
-        bands = [diagonal_band(board, k) for k in range((n + 1) // 2)]
+        bands = optimal_c_sparse_partition(board).classes
         sparse = all(is_c_sparse(b) for b in bands)
         covered = set()
         disjoint = True
@@ -208,8 +199,7 @@ def suite_tk(max_k: int = 3) -> list[Claim]:
 
 def suite_equivalence(seed: int = 0) -> list[Claim]:
     g2 = build_tournament(2)
-    cells2 = _cell_sets(g2)
-    mismatches = sum(1 for vs in _subsets(range(9)) if is_acyclic(g2, vs) != is_c_sparse(cells2(vs)))
+    mismatches = sum(1 for vs in _subsets(range(9)) if is_acyclic(g2, vs) != is_c_sparse(cell_set_of(g2, vs)))
     claims = [
         Claim(
             "equivalence/t2-exhaustive",
@@ -219,12 +209,11 @@ def suite_equivalence(seed: int = 0) -> list[Claim]:
         )
     ]
     g3 = build_tournament(3)
-    cells3 = _cell_sets(g3)
     rng = random.Random(seed)
     bad = 0
     for _ in range(_EQUIVALENCE_SAMPLES):
         vs = [v for v in range(25) if rng.random() < 0.5]
-        if is_acyclic(g3, vs) != is_c_sparse(cells3(vs)):
+        if is_acyclic(g3, vs) != is_c_sparse(cell_set_of(g3, vs)):
             bad += 1
     claims.append(
         Claim(
@@ -244,10 +233,9 @@ def suite_npartite(case: tuple[int, int] | None = None) -> list[Claim]:
     for n in range(1, 4):
         for m in range(1, 4):
             g = build_npartite(n, m)
-            cells = _cell_sets(g)
             for members in _subsets(range(g.vertex_count)):
                 if find_directed_triangle(g, members) is None:
-                    if not is_weak_c_sparse(cells(members)):
+                    if not is_weak_c_sparse(cell_set_of(g, members)):
                         observation_ok = False
     claims.append(
         Claim(
@@ -262,7 +250,7 @@ def suite_npartite(case: tuple[int, int] | None = None) -> list[Claim]:
         bound = npartite_lower_bound(n, m)
         need = math.ceil(bound)
         g = build_npartite(n, m)
-        result = triangle_free_chromatic(g, SolveLimits(max_seconds=600))
+        result = triangle_free_chromatic(g)
         # A non-optimal status still certifies infeasibility below value, so
         # it can settle the claim but not refute it.
         passed = result.value >= need or (False if result.status == OPTIMAL else None)

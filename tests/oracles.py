@@ -126,3 +126,13 @@ def random_c_sparse_set(rng: random.Random, board: Board) -> CellSet:
         if is_c_sparse(candidate):
             chosen.append(cell)
     return CellSet(board, chosen)
+
+
+def shuffled(g: Digraph, seed: int) -> Digraph:
+    """The same labeled digraph with its vertices renumbered in a seeded random order."""
+    order = list(range(g.vertex_count))
+    random.Random(seed).shuffle(order)
+    labels = [None] * g.vertex_count
+    for v, cell in enumerate(g.labels):
+        labels[order[v]] = cell
+    return Digraph(g.vertex_count, [(order[u], order[v]) for u, v in g.arcs], labels)

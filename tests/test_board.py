@@ -106,13 +106,16 @@ class TestPredicates:
 
 class TestDiagonals:
     def test_bands_are_the_papers_diagonal_offsets(self):
-        # Band k is the union of the diagonals x - y in {2k, 2k+1, 2k-n, 2k-n-1}.
+        # Band k is the union of the diagonals x - y in {2k, 2k+1, 2k-n, 2k-n-1},
+        # both as diagonal_band builds it and as the partition's class k.
         for n in range(1, 22, 2):
             board = Board(n, n)
+            classes = optimal_c_sparse_partition(board).classes
             for k in range((n + 1) // 2):
                 offsets = {2 * k, 2 * k + 1, 2 * k - n, 2 * k - n - 1}
                 expected = {c for c in board.cells() if c.row - c.col in offsets}
                 assert diagonal_band(board, k).cells == expected
+                assert classes[k].cells == expected
 
     def test_band_k0_on_7x7(self):
         board = Board(7, 7)

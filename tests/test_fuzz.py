@@ -1,23 +1,26 @@
-"""Fuzzed input documents through the CLI.
+"""Fuzzed input documents and command lines through the CLI.
 
-Whatever JSON a user hands `dicolor solve` or `dicolor export-svg`, the run
-ends in exit code 0, 1, 2 or 3 with no traceback.  Documents are any JSON
-value, or digraph- and partition-shaped ones whose leaves may be replaced by
-huge ints, +-Infinity, NaN, strings, nulls, or nested lists.  Vertex counts
-stay at 12 or below so every solve is quick.
+Whatever JSON a user hands `dicolor solve` or `dicolor export-svg`, and
+whatever flags and values any subcommand gets, the run ends in exit code 0,
+1, 2 or 3 with no traceback.  Documents are any JSON value, or digraph- and
+partition-shaped ones whose leaves may be replaced by huge ints, +-Infinity,
+NaN, strings, nulls, or nested lists.  Vertex counts stay at 12 or below so
+every solve is quick.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import event, given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dicolor.cli import main
+from dicolor.cli import build_parser, main
 
 EXIT_CODES = {0, 1, 2, 3}
 
@@ -120,3 +123,46 @@ def test_solve_exits_cleanly(doc):
 @given(st.one_of(json_values, partition_docs()))
 def test_export_svg_exits_cleanly(doc):
     assert_clean_exit(*run_cli("export-svg", doc))
+
+
+# Every subcommand's parser, keyed by name, as `dicolor` builds them.
+SUBCOMMANDS = next(
+    action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+)
+ARG_VALUES = ["-1", "0", "1", "2", "3", "nan", "inf", "1e400", "x", ""]
+# `order` and `equivalence` take no scale flag and `all` runs every suite, so
+# these take their full time whatever the argv; the rest stay small.
+SLOW_SUITES = {"all", "order", "equivalence"}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its positionals, its required flags and some optional
+    flags; values come from the parser's choices, or else from ARG_VALUES."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    for action in SUBCOMMANDS[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        values = [v for v in action.choices or ARG_VALUES if v not in SLOW_SUITES]
+        if not action.option_strings:
+            argv.append(draw(st.sampled_from(values)))
+        elif action.required or draw(st.booleans()):
+            argv += [action.option_strings[-1], draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=50)
+@given(argvs())
+def test_any_command_line_exits_cleanly(argv):
+    # Output paths are drawn values such as "x" or "1", so run in a fresh directory.
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(home)
+    assert_clean_exit(code, stderr.getvalue())

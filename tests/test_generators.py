@@ -6,22 +6,22 @@ from dicolor import (
     Board,
     Cell,
     Digraph,
-    UnlabeledDigraphError,
     build_npartite,
     build_tournament,
-    cell_of_vertex,
     cell_set_of,
+    digraph_from_json,
+    digraph_to_json,
     find_directed_triangle,
     induced,
     is_acyclic,
     is_c_sparse,
     is_tournament,
     is_weak_c_sparse,
-    labeled_board,
     orient_pair,
     tournament_from_board,
     vertex_of_cell,
 )
+from oracles import shuffled
 
 
 class TestOrientPair:
@@ -58,19 +58,19 @@ class TestTournament:
 
     def test_vertices_follow_cell_order(self):
         g = build_tournament(2)
-        assert cell_of_vertex(g, 0) == Cell(1, 1)
-        assert cell_of_vertex(g, 8) == Cell(3, 3)
+        assert g.labels[0] == Cell(1, 1)
+        assert g.labels[8] == Cell(3, 3)
 
     def test_round_trip_bijection(self):
         g = build_tournament(2)
         for v in range(g.vertex_count):
-            assert vertex_of_cell(g, cell_of_vertex(g, v)) == v
+            assert vertex_of_cell(g, g.labels[v]) == v
 
     def test_arcs_follow_orientation_rule(self):
         g = tournament_from_board(2, 3)
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
-                src, dst = orient_pair(cell_of_vertex(g, u), cell_of_vertex(g, v))
+                src, dst = orient_pair(g.labels[u], g.labels[v])
                 assert (vertex_of_cell(g, src), vertex_of_cell(g, dst)) in g.arcs
 
     def test_single_column_induces_transitive_chain(self):
@@ -114,7 +114,7 @@ class TestNPartite:
     def test_rows_are_independent(self):
         g = build_npartite(3, 3)
         for u, v in g.arcs:
-            assert cell_of_vertex(g, u).row != cell_of_vertex(g, v).row
+            assert g.labels[u].row != g.labels[v].row
 
     def test_contains_known_triangle(self):
         g = build_npartite(3, 2)
@@ -151,28 +151,47 @@ class TestSizeCap:
 class TestLabelBridges:
     def test_unlabeled_errors(self):
         bare = Digraph(3, [(0, 1)])
-        with pytest.raises(UnlabeledDigraphError):
-            cell_of_vertex(bare, 0)
-        with pytest.raises(UnlabeledDigraphError):
+        assert bare.board is None
+        with pytest.raises(ValueError, match="no cell labels"):
             vertex_of_cell(bare, Cell(1, 1))
-        with pytest.raises(UnlabeledDigraphError):
-            labeled_board(bare)
+        with pytest.raises(ValueError, match="no cell labels"):
+            cell_set_of(bare, [0])
 
     def test_labeled_board_of_generated(self):
-        assert labeled_board(build_npartite(3, 2)) == Board(3, 2)
-        assert labeled_board(build_tournament(3)) == Board(5, 5)
+        assert build_npartite(3, 2).board == Board(3, 2)
+        assert build_tournament(3).board == Board(5, 5)
+        assert tournament_from_board(2, 3).board == Board(2, 3)
+        # The board is read off the labels, whatever the vertex order.
+        assert shuffled(build_tournament(3), seed=0).board == Board(5, 5)
+        for g in (build_npartite(3, 2), shuffled(build_tournament(2), seed=1)):
+            assert digraph_from_json(digraph_to_json(g)).board == g.board
 
     def test_labeled_board_rejects_labels_off_the_board(self):
         # four distinct labels with maxima 2 and 2, but (0, 1) is off the 2x2 board
         g = Digraph(4, [], [(0, 1), (1, 2), (2, 1), (2, 2)])
+        assert g.board is None
         with pytest.raises(ValueError, match="cover"):
-            labeled_board(g)
+            cell_set_of(g, [1])
+
+    def test_no_board_when_labels_leave_a_hole(self):
+        hole = Digraph(3, [], [(1, 1), (1, 2), (2, 2)])  # (2, 1) is missing
+        assert hole.board is None
+        assert induced(build_tournament(2), [0, 4, 8]).board is None
+        assert Digraph(0, [], []).board is None
+        with pytest.raises(ValueError, match="cover"):
+            cell_set_of(hole, [0])
 
     def test_cell_set_of(self):
         g = build_tournament(2)
         s = cell_set_of(g, [0, 4, 8])
         assert s.board == Board(3, 3)
         assert s.cells == {Cell(1, 1), Cell(2, 2), Cell(3, 3)}
+
+    def test_cell_set_of_refuses_vertices_outside_the_digraph(self):
+        g = build_tournament(2)
+        for v in (-1, 9):
+            with pytest.raises(ValueError, match="outside 0..8"):
+                cell_set_of(g, [0, v])
 
 
 class TestCorrespondence:
