@@ -5,7 +5,6 @@ from .board import (
     MAX_BRUTEFORCE_CELLS,
     WEAK_C_SPARSE,
     Board,
-    BoardTooLargeError,
     Cell,
     CellPartition,
     CellSet,
@@ -33,7 +32,6 @@ from .generators import (
     build_npartite,
     build_tournament,
     cell_set_of,
-    orient_pair,
     tournament_from_board,
     vertex_of_cell,
 )

@@ -24,10 +24,6 @@ WEAK_C_SPARSE = "weak-c-sparse"
 MAX_BRUTEFORCE_CELLS = 25
 
 
-class BoardTooLargeError(ValueError):
-    """A brute-force oracle was asked to search more cells than the guard allows."""
-
-
 class Cell(NamedTuple):
     """A board position with 1-based coordinates.
 
@@ -80,14 +76,11 @@ class CellSet:
         object.__setattr__(self, "board", board)
         object.__setattr__(self, "cells", normalized)
 
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.cells)
-
     def __len__(self) -> int:
         return len(self.cells)
 
     def __iter__(self) -> Iterator[Cell]:
-        return iter(self.sorted_cells())
+        return iter(sorted(self.cells))
 
     def __contains__(self, cell) -> bool:
         return Cell(*cell) in self.cells
@@ -133,7 +126,7 @@ def is_c_sparse(s: CellSet) -> bool:
     pair belongs to other columns.  Empty sets and singletons pass vacuously.
     """
     last_position: dict[int, int] = {}
-    for position, cell in enumerate(s.sorted_cells()):
+    for position, cell in enumerate(s):
         previous = last_position.get(cell.col)
         if previous is not None and position - previous > 1:
             return False
@@ -235,7 +228,7 @@ def optimal_c_sparse_partition(board: Board) -> CellPartition:
 
 def _check_bruteforce_size(board: Board) -> None:
     if board.cell_count > MAX_BRUTEFORCE_CELLS:
-        raise BoardTooLargeError(
+        raise ValueError(
             f"{board.n}x{board.m} board has {board.cell_count} cells; "
             f"brute force is capped at {MAX_BRUTEFORCE_CELLS}"
         )
@@ -323,9 +316,7 @@ def partition_to_json(p: CellPartition) -> dict:
     return {
         "n": p.board.n,
         "m": p.board.m,
-        "classes": [
-            [[cell.row, cell.col] for cell in part.sorted_cells()] for part in p.classes
-        ],
+        "classes": [[[cell.row, cell.col] for cell in part] for part in p.classes],
     }
 
 

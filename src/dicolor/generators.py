@@ -17,17 +17,6 @@ from .board import Board, Cell, CellSet
 from .digraph import Digraph
 
 
-def orient_pair(a: Cell, b: Cell) -> tuple[Cell, Cell]:
-    """Arc direction (source, target) between two distinct cells."""
-    a = Cell(*a)
-    b = Cell(*b)
-    if a == b:
-        raise ValueError(f"cannot orient a cell against itself: {a}")
-    if a.col == b.col:
-        return (a, b) if a < b else (b, a)
-    return (a, b) if a > b else (b, a)
-
-
 # Largest cell-pair count a construction enumerates.  T_19 (1,369 cells,
 # 936,396 pairs) is the largest board tournament under it; larger boards are
 # refused before any cell is listed.
@@ -42,13 +31,12 @@ def _board_digraph(n: int, m: int, across_rows_only: bool) -> Digraph:
     if pairs > _MAX_CELL_PAIRS:
         raise ValueError(f"{n}x{m} board has {pairs} cell pairs; generation is capped at {_MAX_CELL_PAIRS}")
     cells = list(board.cells())
-    vertex_of = {cell: v for v, cell in enumerate(cells)}
-    arcs = []
-    for a, b in combinations(cells, 2):
-        if across_rows_only and a.row == b.row:
-            continue
-        src, dst = orient_pair(a, b)
-        arcs.append((vertex_of[src], vertex_of[dst]))
+    # Pairs come as u < v in cell order: same column forward, otherwise backward.
+    arcs = [
+        (u, v) if cells[u].col == cells[v].col else (v, u)
+        for u, v in combinations(range(len(cells)), 2)
+        if not (across_rows_only and cells[u].row == cells[v].row)
+    ]
     return Digraph(len(cells), arcs, cells)
 
 
@@ -74,7 +62,7 @@ def build_npartite(n: int, m: int) -> Digraph:
     """Oriented complete balanced n-partite graph with parts of size m.
 
     Vertices are the cells of an n x m board; each row is one independent
-    part, and every cross-row pair is oriented by orient_pair.
+    part, and every cross-row pair is oriented by the board's rule.
     """
     if n < 1 or m < 1:
         raise ValueError(f"part count and part size must be >= 1, got n={n}, m={m}")

@@ -35,6 +35,22 @@ def weak_c_sparse_by_definition(s: CellSet) -> bool:
     return True
 
 
+def board_arcs_by_rule(n: int, m: int, same_row_arcs: bool = True) -> set[tuple[tuple[int, int], tuple[int, int]]]:
+    """Arcs between the cells of an n x m board, from the paper's rule.
+
+    For cells a < b in row-major order, a same-column pair points a -> b and
+    any other pair b -> a; same-row pairs are left out when same_row_arcs is
+    false (the n-partite digraph).
+    """
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, m + 1)]
+    arcs = set()
+    for a in cells:
+        for b in cells:
+            if a < b and (same_row_arcs or a[0] != b[0]):
+                arcs.add((a, b) if a[1] == b[1] else (b, a))
+    return arcs
+
+
 def all_subsets(board: Board):
     cells = list(board.cells())
     for mask in range(1 << len(cells)):

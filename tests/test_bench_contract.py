@@ -1,7 +1,8 @@
 """The benchmark under bench/ calls dicolor by name; deleting a name it uses must fail here.
 
-bench/ is read, never imported as a package: tracing.py is loaded from its
-file (it needs only the standard library), and workloads.py is parsed.
+bench/ is read, never imported as a package: tracing.py and checks.py are
+loaded from their files (they need only the standard library), and
+workloads.py is parsed.
 """
 
 import ast
@@ -10,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import dicolor
+from dicolor.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,3 +39,11 @@ def test_every_package_name_the_workloads_use_is_exported():
     }
     assert used
     assert sorted(name for name in used if name not in dicolor.__all__) == []
+
+
+def test_verify_all_prints_the_claims_the_benchmark_checks(capsys):
+    spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    code = main(["verify", "all", "--seed", "1"])
+    assert checks.check_verify_all(code, capsys.readouterr().out) == []

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from dicolor import (
     Board,
-    BoardTooLargeError,
     Cell,
     CellPartition,
     CellSet,
@@ -285,10 +284,10 @@ class TestMaxSparseOracle:
         }
         for ((n, m), mode), cells in pins.items():
             size, witness = bruteforce_max_sparse(Board(n, m), mode)
-            assert (size, witness.sorted_cells()) == (len(cells), cells), (n, m, mode)
+            assert (size, list(witness)) == (len(cells), cells), (n, m, mode)
 
     def test_guard(self):
-        with pytest.raises(BoardTooLargeError):
+        with pytest.raises(ValueError, match="capped"):
             bruteforce_max_sparse(Board(6, 5))
 
     def test_unknown_mode(self):
@@ -318,7 +317,7 @@ class TestMinPartitionOracle:
             assert bruteforce_min_partition(board)[0] == best
 
     def test_guard(self):
-        with pytest.raises(BoardTooLargeError):
+        with pytest.raises(ValueError, match="capped"):
             bruteforce_min_partition(Board(6, 5))
 
 

@@ -268,6 +268,41 @@ class TestVerify:
         assert code == 2 and stdout == ""
         assert flag in stderr and stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "suite, flag, value, constructor, over_cap",
+        [
+            ("diagonals", "--max-n", "501", "optimal_c_sparse_partition", Board(501, 501)),
+            ("tk", "--max-k", "20", "build_tournament", 20),
+        ],
+    )
+    def test_scale_over_a_cap_is_refused_before_any_claim_runs(
+        self, capsys, monkeypatch, suite, flag, value, constructor, over_cap
+    ):
+        real = getattr(verify, constructor)
+        calls = []
+
+        def recording(arg):
+            calls.append(arg)
+            return real(arg)
+
+        monkeypatch.setattr(verify, constructor, recording)
+        code, stdout, stderr = run(capsys, "verify", suite, flag, value)
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1
+        assert calls == [over_cap]
+
+    @pytest.mark.parametrize(
+        "weak, failing",
+        [
+            (lambda s: False, ["order/c-implies-weak"]),
+            (lambda s: len(s) != 1, ["order/antitone", "order/c-implies-weak"]),
+        ],
+    )
+    def test_order_claims_fail_on_a_broken_predicate(self, capsys, monkeypatch, weak, failing):
+        monkeypatch.setattr(verify, "is_weak_c_sparse", weak)
+        code, stdout, _ = run(capsys, "verify", "order")
+        assert code == 1
+        assert [line.split()[1] for line in stdout.splitlines() if line.startswith("FAIL")] == failing
+
 
 class TestUsage:
     def test_no_command(self, capsys):

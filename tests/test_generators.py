@@ -17,29 +17,31 @@ from dicolor import (
     is_c_sparse,
     is_tournament,
     is_weak_c_sparse,
-    orient_pair,
     tournament_from_board,
     vertex_of_cell,
 )
-from oracles import shuffled
+from oracles import board_arcs_by_rule, shuffled
+
+
+def cell_arcs(g):
+    return {(g.labels[u], g.labels[v]) for u, v in g.arcs}
 
 
 class TestOrientPair:
+    """The board's rule on single cell pairs, read off the generated arcs."""
+
     def test_same_column_goes_forward(self):
-        assert orient_pair(Cell(1, 1), Cell(3, 1)) == (Cell(1, 1), Cell(3, 1))
+        assert (Cell(1, 1), Cell(3, 1)) in cell_arcs(build_tournament(2))
+        assert (Cell(1, 1), Cell(3, 1)) in cell_arcs(build_npartite(3, 2))
 
     def test_cross_column_goes_backward(self):
-        assert orient_pair(Cell(1, 1), Cell(2, 2)) == (Cell(2, 2), Cell(1, 1))
+        assert (Cell(2, 2), Cell(1, 1)) in cell_arcs(build_tournament(2))
+        assert (Cell(2, 2), Cell(1, 1)) in cell_arcs(build_npartite(3, 2))
 
     def test_same_row_counts_as_cross_column(self):
-        assert orient_pair(Cell(1, 1), Cell(1, 2)) == (Cell(1, 2), Cell(1, 1))
-
-    def test_symmetric_in_argument_order(self):
-        assert orient_pair(Cell(3, 1), Cell(1, 1)) == (Cell(1, 1), Cell(3, 1))
-
-    def test_rejects_equal_cells(self):
-        with pytest.raises(ValueError):
-            orient_pair(Cell(2, 2), Cell(2, 2))
+        assert (Cell(1, 2), Cell(1, 1)) in cell_arcs(build_tournament(2))
+        # the n-partite digraph joins no same-row pair
+        assert all(a.row != b.row for a, b in cell_arcs(build_npartite(3, 2)))
 
 
 class TestTournament:
@@ -67,11 +69,9 @@ class TestTournament:
             assert vertex_of_cell(g, g.labels[v]) == v
 
     def test_arcs_follow_orientation_rule(self):
-        g = tournament_from_board(2, 3)
-        for u in range(g.vertex_count):
-            for v in range(u + 1, g.vertex_count):
-                src, dst = orient_pair(g.labels[u], g.labels[v])
-                assert (vertex_of_cell(g, src), vertex_of_cell(g, dst)) in g.arcs
+        assert cell_arcs(tournament_from_board(2, 3)) == board_arcs_by_rule(2, 3)
+        assert cell_arcs(build_tournament(2)) == board_arcs_by_rule(3, 3)
+        assert cell_arcs(build_npartite(3, 2)) == board_arcs_by_rule(3, 2, same_row_arcs=False)
 
     def test_single_column_induces_transitive_chain(self):
         g = build_tournament(2)
