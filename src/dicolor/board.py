@@ -76,6 +76,14 @@ class CellSet:
         object.__setattr__(self, "board", board)
         object.__setattr__(self, "cells", normalized)
 
+    @classmethod
+    def _unchecked(cls, board: Board, cells: frozenset[Cell]) -> CellSet:
+        """A cell set from cells the caller knows are Cell(int, int) on board."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "board", board)
+        object.__setattr__(s, "cells", cells)
+        return s
+
     def __len__(self) -> int:
         return len(self.cells)
 

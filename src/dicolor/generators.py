@@ -88,4 +88,6 @@ def cell_set_of(g: Digraph, vertices: Iterable[int]) -> CellSet:
     outside = [v for v in vs if not 0 <= v < g.vertex_count]
     if outside:
         raise ValueError(f"vertex {outside[0]} outside 0..{g.vertex_count - 1}")
-    return CellSet(g.board, (g.labels[v] for v in vs))
+    # Digraph normalized every label to Cell(int, int) and set board only
+    # because every label lies on it, so the cells need no second check.
+    return CellSet._unchecked(g.board, frozenset(g.labels[v] for v in vs))

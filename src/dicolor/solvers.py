@@ -13,13 +13,14 @@ square board, the diagonal-band partition mapped through the labels is also
 tried as the upper end, once `verify_coloring` accepts it.  Either way every
 smaller color count is proven infeasible by search.
 
-Feasibility of a class is maintained incrementally as a bitmask of the
-vertices that may not join it.  Tournaments and the triangle-free constraint
-use the triangle state (a class of a tournament is acyclic iff it has no
-directed triangle); other digraphs under the acyclic constraint use the
-reachability state, which tracks what each member reaches inside its class.
-The input alone selects the state.  Certificates are re-checked by
-`verify_coloring` with plain digraph primitives, independently of the search.
+The search reads the digraph's own out/in arc bitmasks.  Feasibility of a
+class is maintained incrementally as a bitmask of the vertices that may not
+join it.  Tournaments and the triangle-free constraint use the triangle
+state (a class of a tournament is acyclic iff it has no directed triangle);
+other digraphs under the acyclic constraint use the reachability state,
+which tracks what each member reaches inside its class.  The input alone
+selects the state.  Certificates are re-checked by `verify_coloring` with
+plain digraph primitives, independently of the search.
 """
 
 from __future__ import annotations
@@ -139,22 +140,18 @@ def verify_coloring(g: Digraph, coloring: Coloring, constraint: str) -> bool:
     )
 
 
-def _search_input(g: Digraph, constraint: str) -> tuple[list[int], list[int], bool]:
-    """Arc bitmasks and whether a class fails exactly when it gains a directed triangle.
+def _search_input(g: Digraph, constraint: str) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """The digraph's arc bitmasks and whether a class fails exactly when it
+    gains a directed triangle.
 
     That holds for the triangle-free constraint and, because a class of a
     tournament is acyclic iff it has no directed triangle, for tournaments.
     """
-    out_mask = [0] * g.vertex_count
-    in_mask = [0] * g.vertex_count
-    for u, v in g.arcs:
-        out_mask[u] |= 1 << v
-        in_mask[v] |= 1 << u
-    return out_mask, in_mask, constraint == TRIANGLE_FREE or is_tournament(g)
+    return g.out_mask, g.in_mask, constraint == TRIANGLE_FREE or is_tournament(g)
 
 
 def _search(
-    t: int, out_mask: list[int], in_mask: list[int], triangle: bool, budget: _Budget
+    t: int, out_mask: tuple[int, ...], in_mask: tuple[int, ...], triangle: bool, budget: _Budget
 ) -> list[int] | None:
     """First assignment of at most t feasible classes, or None when there is none.
 

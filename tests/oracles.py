@@ -68,7 +68,7 @@ def has_directed_cycle_by_subsets(g: Digraph) -> bool:
     n = g.vertex_count
     for mask in range(1, 1 << n):
         inside = {v for v in range(n) if mask >> v & 1}
-        if all(any(w in inside for w in g.out_neighbors(v)) for v in inside):
+        if all(any((v, w) in g.arcs for w in inside) for v in inside):
             return True
     return False
 

@@ -7,6 +7,8 @@ from dicolor import (
     Digraph,
     build_npartite,
     build_tournament,
+    digraph_from_json,
+    digraph_to_json,
     find_directed_triangle,
     induced,
     is_acyclic,
@@ -41,7 +43,39 @@ class TestConstruction:
 
     def test_adjacency(self):
         g = Digraph(4, [(0, 1), (2, 1), (0, 3)])
-        assert g.out_neighbors(0) == (1, 3)
+        assert g.out_mask == (0b1010, 0, 0b0010, 0)
+        assert g.in_mask == (0, 0b0101, 0, 0b0001)
+
+    def test_rejection_names_the_offending_vertices(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            Digraph(3, [(1, 2), (1, 1)])
+        with pytest.raises(ValueError, match="two-cycle between 0 and 2;"):
+            Digraph(3, [(0, 1), (2, 0), (0, 2)])
+
+
+def assert_masks_are_the_arc_set(g):
+    n = g.vertex_count
+    assert type(g.out_mask) is tuple and type(g.in_mask) is tuple
+    assert len(g.out_mask) == len(g.in_mask) == n
+    for u in range(n):
+        for v in range(n):
+            arc = (u, v) in g.arcs
+            assert bool(g.out_mask[u] >> v & 1) == arc
+            assert bool(g.in_mask[v] >> u & 1) == arc
+
+
+class TestMasks:
+    def test_random_digraphs_their_induced_subgraphs_and_json_round_trips(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            g = random_digraph(rng, rng.randint(0, 9), rng.random())
+            members = [v for v in range(g.vertex_count) if rng.random() < 0.6]
+            for h in (g, induced(g, members), digraph_from_json(digraph_to_json(g))):
+                assert_masks_are_the_arc_set(h)
+
+    def test_generated_digraphs(self):
+        for g in (build_tournament(1), build_tournament(2), build_tournament(3), build_npartite(3, 2)):
+            assert_masks_are_the_arc_set(g)
 
 
 class TestAcyclicity:
@@ -76,6 +110,30 @@ class TestAcyclicity:
     def test_within_rejects_bad_vertices(self):
         with pytest.raises(ValueError):
             is_acyclic(TRIANGLE, within={0, 9})
+
+    def test_within_rejects_negative_and_one_past_the_end(self):
+        for vs in ([-1], [3], [0, -1]):
+            with pytest.raises(ValueError, match="outside"):
+                is_acyclic(TRIANGLE, vs)
+        with pytest.raises(ValueError, match="outside"):
+            find_directed_triangle(TRIANGLE, [-1])
+
+    def test_within_duplicates_and_generators_match_subset_oracle(self):
+        n = 6
+        ring = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+        for vs in ([1, 1, 2], [0, 5, 0, 5], list(range(n)) * 2):
+            expected = not has_directed_cycle_by_subsets(induced(ring, vs))
+            assert is_acyclic(ring, vs) == expected
+            assert is_acyclic(ring, iter(vs)) == expected
+        assert is_acyclic(ring, (v for v in range(n) if v != 3))
+        assert not is_acyclic(ring, (v for v in range(n)))
+
+    def test_long_path_and_ring(self):
+        # Correctness only: no time is asserted.
+        n = 20_000
+        path = [(i, i + 1) for i in range(n - 1)]
+        assert is_acyclic(Digraph(n, path))
+        assert not is_acyclic(Digraph(n, path + [(n - 1, 0)]))
 
 
 class TestTriangleSearch:

@@ -5,6 +5,7 @@ import pytest
 from dicolor import (
     Board,
     Cell,
+    CellSet,
     Digraph,
     build_npartite,
     build_tournament,
@@ -186,6 +187,23 @@ class TestLabelBridges:
         s = cell_set_of(g, [0, 4, 8])
         assert s.board == Board(3, 3)
         assert s.cells == {Cell(1, 1), Cell(2, 2), Cell(3, 3)}
+
+    def test_cell_set_of_equals_the_validating_constructor(self):
+        def check(g, vs):
+            fast = cell_set_of(g, vs)
+            slow = CellSet(g.board, [g.labels[v] for v in vs])
+            assert fast == slow and hash(fast) == hash(slow)
+
+        t2 = build_tournament(2)
+        for mask in range(1 << 9):
+            check(t2, [v for v in range(9) if mask >> v & 1])
+        rng = random.Random(13)
+        for g in (build_tournament(3), shuffled(build_tournament(3), seed=2)):
+            for _ in range(500):
+                check(g, [v for v in range(25) if rng.random() < 0.5])
+        g = tournament_from_board(2, 3)
+        for mask in range(1 << 6):
+            check(g, [v for v in range(6) if mask >> v & 1])
 
     def test_cell_set_of_refuses_vertices_outside_the_digraph(self):
         g = build_tournament(2)
