@@ -9,15 +9,16 @@ those labels cover.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .board import Board, Cell
 
 # Documents may not declare more vertices than this: per-vertex storage is
-# allocated up front, and the largest instance in use has about 1,300.  The
-# arc bitmasks cost O(arcs * n / 64) words: a 40,000-vertex path takes about
-# 0.4 s and 234 MB to build, and a path at this cap about 1.4 GB.
-_MAX_JSON_VERTICES = 100_000
+# allocated up front, and T_19, the largest board tournament the generators
+# build, has 1,369 vertices.  The arc bitmasks cost about n^2 / 8 bytes even
+# on a sparse input: a path at this cap builds in about 0.1 s and 75 MB, and
+# a 100,000-vertex path took 1.4 GB.
+_MAX_JSON_VERTICES = 20_000
 
 
 class Digraph:
@@ -32,7 +33,7 @@ class Digraph:
     are safe to share across threads once constructed.
     """
 
-    __slots__ = ("vertex_count", "arcs", "out_mask", "in_mask", "labels", "board", "_vertex_by_cell")
+    __slots__ = ("vertex_count", "arcs", "out_mask", "in_mask", "labels", "board")
 
     def __init__(
         self,
@@ -65,7 +66,6 @@ class Digraph:
         if labels is None:
             self.labels: tuple[Cell, ...] | None = None
             self.board: Board | None = None
-            self._vertex_by_cell: dict[Cell, int] = {}
         else:
             lab = tuple(Cell(int(r), int(c)) for r, c in labels)
             if len(lab) != n:
@@ -73,17 +73,11 @@ class Digraph:
             if len(set(lab)) != n:
                 raise ValueError("vertex labels must be distinct cells")
             self.labels = lab
-            self._vertex_by_cell = {cell: v for v, cell in enumerate(lab)}
             # n distinct cells on a board of n cells are all of its cells.
             rows = [cell.row for cell in lab]
             cols = [cell.col for cell in lab]
             full = n > 0 and min(rows) >= 1 and min(cols) >= 1 and max(rows) * max(cols) == n
             self.board = Board(max(rows), max(cols)) if full else None
-
-    def vertex_by_cell(self) -> Mapping[Cell, int]:
-        if self.labels is None:
-            raise ValueError("digraph carries no cell labels")
-        return self._vertex_by_cell
 
     def __repr__(self) -> str:
         tag = ", labeled" if self.labels is not None else ""

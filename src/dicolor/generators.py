@@ -71,11 +71,13 @@ def build_npartite(n: int, m: int) -> Digraph:
 
 def vertex_of_cell(g: Digraph, cell: Cell) -> int:
     """The vertex labeled by a cell."""
-    mapping = g.vertex_by_cell()
+    if g.labels is None:
+        raise ValueError("digraph carries no cell labels")
     key = Cell(*cell)
-    if key not in mapping:
-        raise ValueError(f"no vertex is labeled {key}")
-    return mapping[key]
+    try:
+        return g.labels.index(key)
+    except ValueError:
+        raise ValueError(f"no vertex is labeled {key}") from None
 
 
 def cell_set_of(g: Digraph, vertices: Iterable[int]) -> CellSet:

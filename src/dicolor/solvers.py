@@ -17,10 +17,11 @@ The search reads the digraph's own out/in arc bitmasks.  Feasibility of a
 class is maintained incrementally as a bitmask of the vertices that may not
 join it.  Tournaments and the triangle-free constraint use the triangle
 state (a class of a tournament is acyclic iff it has no directed triangle);
-other digraphs under the acyclic constraint use the reachability state,
-which tracks what each member reaches inside its class.  The input alone
-selects the state.  Certificates are re-checked by `verify_coloring` with
-plain digraph primitives, independently of the search.
+other digraphs under the acyclic constraint use the walk state, which walks
+the class's arcs backward and forward from each vertex that joins to find
+the members on either side of it.  The input alone selects the state.
+Certificates are re-checked by `verify_coloring` with plain digraph
+primitives, independently of the search.
 """
 
 from __future__ import annotations
@@ -169,11 +170,12 @@ def _search(
     danger[c] is the set (as a bitmask) of vertices that would break class
     c, so rejecting a color is one AND.  It grows as vertices join:
     - triangle state: an internal arc a->b forbids every x with b->x and x->a;
-    - reachability state (the acyclic constraint on other digraphs):
-      reach[u] is the set of members of u's class that u reaches inside the
-      class, u included.  When v joins, every member reaching v (A) now
-      reaches everything v reaches (B), so every x with an arc into A and
-      an arc from B would close a cycle.
+    - walk state (the acyclic constraint on other digraphs): when v joins,
+      a backward walk over the class's arcs finds the members that reach v
+      (A) and a forward walk the members v reaches (B), v in both.  Every
+      member of A now reaches all of B, so every x with an arc into A and
+      an arc from B would close a cycle.  The walks store nothing between
+      placements, so a backtrack has nothing of theirs to undo.
     Each vertex's count of classes whose danger holds it is kept in
     bit-slices: planes[k] holds bit k of every count.  A placement adds the
     vertices its class's danger gained, and a top-down scan of the planes
@@ -182,15 +184,12 @@ def _search(
     n = len(out_mask)
     member = [0] * t
     danger = [0] * t
-    reach = [0] * n
     assign = [0] * n
     order = [0] * n  # the vertex placed at each depth
     planes = [0] * t.bit_length()
-    # Per placed vertex: its class's danger and the planes before it joined,
-    # and in the reachability state the (member, old reach) pairs it changed.
+    # Per placed vertex: its class's danger and the planes before it joined.
     saved_danger = [0] * n
     saved_planes: list[list[int]] = [planes] * n
-    saved_reach: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     free = (1 << n) - 1
     tick = budget.tick
     tick()
@@ -217,31 +216,26 @@ def _search(
                     d |= out_mask[lsb.bit_length() - 1] & in_v
                     b ^= lsb
             else:
-                down = bit
-                b = m & out_v
-                while b:
-                    lsb = b & -b
-                    down |= reach[lsb.bit_length() - 1]
-                    b ^= lsb
-                reach[v] = down
                 into = in_v
-                changed = saved_reach[v]
-                a = m
+                a = m & in_v
+                rest = m ^ a
                 while a:
                     lsb = a & -a
-                    u = lsb.bit_length() - 1
-                    r = reach[u]
-                    if r & in_v:
-                        changed.append((u, r))
-                        reach[u] = r | down
-                        into |= in_mask[u]
-                    a ^= lsb
-                outof = 0
-                b = down
+                    x = in_mask[lsb.bit_length() - 1]
+                    into |= x
+                    x &= rest
+                    rest ^= x
+                    a = (a ^ lsb) | x
+                outof = out_v
+                b = m & out_v
+                rest = m ^ b
                 while b:
                     lsb = b & -b
-                    outof |= out_mask[lsb.bit_length() - 1]
-                    b ^= lsb
+                    x = out_mask[lsb.bit_length() - 1]
+                    outof |= x
+                    x &= rest
+                    rest ^= x
+                    b = (b ^ lsb) | x
                 d |= into & outof
             free ^= bit
             carry = (d ^ danger[c]) & free
@@ -285,10 +279,6 @@ def _search(
             danger[c] = saved_danger[v]
             planes = saved_planes[v]
             free |= bit
-            changed = saved_reach[v]
-            while changed:
-                u, r = changed.pop()
-                reach[u] = r
             if not member[c]:
                 used -= 1
             c += 1

@@ -77,6 +77,13 @@ class TestDigraphJson:
         monkeypatch.setattr("dicolor.digraph.Digraph", no_digraph)
         with pytest.raises(ValueError, match="vertices"):
             digraph_from_json({"vertices": 10**12, "arcs": []})
+        with pytest.raises(ValueError, match="cap"):
+            digraph_from_json({"vertices": 20_001, "arcs": []})
+        # The cap itself passes validation and gets as far as allocating.
+        with pytest.raises(AssertionError, match="allocated"):
+            digraph_from_json({"vertices": 20_000, "arcs": []})
+        monkeypatch.undo()
+        assert digraph_from_json({"vertices": 20_000, "arcs": []}).vertex_count == 20_000
 
 
 class TestDot:

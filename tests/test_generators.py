@@ -158,6 +158,15 @@ class TestLabelBridges:
         with pytest.raises(ValueError, match="no cell labels"):
             cell_set_of(bare, [0])
 
+    def test_vertex_of_cell_inverts_shuffled_labels(self):
+        g = shuffled(build_tournament(3), 5)
+        for v, cell in enumerate(g.labels):
+            assert vertex_of_cell(g, cell) == v
+        with pytest.raises(ValueError, match="no vertex is labeled"):
+            vertex_of_cell(g, Cell(6, 1))
+        with pytest.raises(ValueError, match="no cell labels"):
+            vertex_of_cell(Digraph(3, [(0, 1)]), Cell(1, 1))
+
     def test_labeled_board_of_generated(self):
         assert build_npartite(3, 2).board == Board(3, 2)
         assert build_tournament(3).board == Board(5, 5)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from dicolor import (
     build_tournament,
     dichromatic_number,
     greedy_upper_bound,
+    is_tournament,
     npartite_lower_bound,
     optimal_c_sparse_partition,
     solve_result_to_json,
@@ -135,6 +137,12 @@ class TestExactSolvers:
         # band coloring used unchecked would be returned as optimal.
         cells = list(Board(3, 3).cells())
         graphs += [Digraph(9, random_digraph(rng, 9, 0.5 + rng.random() / 2).arcs, cells) for _ in range(20)]
+        # Sparser non-tournaments of 8-9 vertices, whose classes can hold
+        # chains long enough that a cycle closes several arcs away from the
+        # vertex that joins last.
+        chains = [random_digraph(rng, rng.randint(8, 9), 0.3 + rng.random() / 2) for _ in range(20)]
+        assert not any(is_tournament(g) for g in chains)
+        graphs += chains
         for g in graphs:
             for constraint, solve in ((ACYCLIC, dichromatic_number), (TRIANGLE_FREE, triangle_free_chromatic)):
                 result = solve(g)
@@ -164,15 +172,30 @@ class TestExactSolvers:
             assert result.value == min_colors_by_enumeration(g, ACYCLIC)
 
     def test_certificates_verify_on_larger_random_digraphs(self):
-        # Cycles that close through vertices placed later need the
-        # reachability state to propagate what each member reaches; the
-        # enumeration cross-checks above stop at 7 vertices and rarely meet them.
+        # Cycles that close through vertices placed later are found only by
+        # walking the class from the vertex that joins; the enumeration
+        # cross-checks above stop at 9 vertices and rarely meet long ones.
         rng = random.Random(1)
         for _ in range(100):
             g = random_digraph(rng, rng.randint(8, 24), rng.random())
             result = dichromatic_number(g)
             assert result.status == OPTIMAL
             assert verify_coloring(g, result.certificate, ACYCLIC)
+
+    def test_long_chain_class_keeps_little_memory(self):
+        # A path is one class whose members all lie on one chain.  A search
+        # state that kept, per member, the members it reaches would grow
+        # with the cube of the chain's length: about 5 MB here.
+        n = 300
+        path = Digraph(n, [(i, i + 1) for i in range(n - 1)])
+        tracemalloc.start()
+        try:
+            result = dichromatic_number(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.status == OPTIMAL and result.value == 1
+        assert peak < 1_000_000
 
     def test_deep_instance_has_no_recursion_limit(self):
         # 220 disjoint copies of a 6-vertex digraph whose first-fit coloring
@@ -243,9 +266,12 @@ class TestLimits:
         assert result.status == ABORTED_AT_LIMIT
 
     def test_time_limit_holds_when_each_node_is_slow(self):
-        # One node of an 8,000-vertex search costs time in proportion to n,
-        # so the clock must be read at every node, not every few thousand.
-        result = dichromatic_number(Digraph(8000, []), SolveLimits(max_seconds=0.2))
+        # On an 8,000-vertex path each node walks back over the whole chain
+        # placed so far, on n-bit masks, so a node's cost grows with its
+        # depth; the clock must be read at every node, not every few thousand.
+        n = 8000
+        path = Digraph(n, [(i, i + 1) for i in range(n - 1)])
+        result = dichromatic_number(path, SolveLimits(max_seconds=0.2))
         assert result.status == ABORTED_AT_LIMIT
         assert result.elapsed < 0.5
 
