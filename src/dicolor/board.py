@@ -14,6 +14,7 @@ oracles for extremal set sizes and minimum partition sizes on small boards.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -69,7 +70,7 @@ class CellSet:
     cells: frozenset[Cell]
 
     def __init__(self, board: Board, cells: Iterable[Cell]) -> None:
-        normalized = frozenset(Cell(int(r), int(c)) for r, c in cells)
+        normalized = frozenset(Cell(operator.index(r), operator.index(c)) for r, c in cells)
         for cell in normalized:
             if cell not in board:
                 raise ValueError(f"cell {cell} is outside the {board.n}x{board.m} board")
@@ -331,7 +332,7 @@ def partition_to_json(p: CellPartition) -> dict:
 def partition_from_json(doc: dict) -> CellPartition:
     """Parse and validate a partition document."""
     try:
-        board = Board(int(doc["n"]), int(doc["m"]))
+        board = Board(operator.index(doc["n"]), operator.index(doc["m"]))
         return CellPartition(board, [CellSet(board, part) for part in doc["classes"]])
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed cell document: {exc}") from exc

@@ -1,39 +1,47 @@
-"""Finite oriented graphs: arc storage, acyclicity, and directed triangles.
+"""Finite oriented graphs: bitmask adjacency, acyclicity, and directed triangles.
 
-Vertices are dense integers 0..vertex_count-1; an arc set may contain at most
-one of (u, v) and (v, u) for any pair and no self-loops.  Graphs built from
-checkerboards carry an optional per-vertex cell label, and know the board
-those labels cover.
+Vertices are dense integers 0..vertex_count-1; a digraph may contain at most
+one of (u, v) and (v, u) for any pair and no self-loops.  Its representation
+is one out-neighbour and one in-neighbour bitmask per vertex; the arc set is
+kept alongside when the digraph is built from arcs, and derived from the
+masks on first use otherwise.  Graphs built from checkerboards carry an
+optional per-vertex cell label, and know the board those labels cover.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .board import Board, Cell
 
 # Documents may not declare more vertices than this: per-vertex storage is
 # allocated up front, and T_19, the largest board tournament the generators
 # build, has 1,369 vertices.  The arc bitmasks cost about n^2 / 8 bytes even
-# on a sparse input: a path at this cap builds in about 0.1 s and 75 MB, and
-# a 100,000-vertex path took 1.4 GB.
+# on a sparse input: a path at this cap parses in about 0.1 s and raises peak
+# RSS from 18 to 75 MB (Python 3.11.7), and a 100,000-vertex path took 1.4 GB.
 _MAX_JSON_VERTICES = 20_000
 
 
 class Digraph:
     """Immutable oriented graph.
 
-    Labels, when present, assign a distinct cell to every vertex; generated
-    instances label vertices with the cells of a full board in row-major
-    order.  `board` is the board whose cells are exactly the labels, or None
-    when there is no such board: the digraph is unlabeled or empty, or its
-    labels leave a hole or hold a cell below (1, 1).  Bit v of `out_mask[u]`
-    is set iff (u, v) is an arc, and `in_mask` is its transpose.  Instances
-    are safe to share across threads once constructed.
+    Bit v of `out_mask[u]` is set iff (u, v) is an arc, and `in_mask` is its
+    transpose; the solvers and predicates read only these masks.  `arcs` is
+    the same relation as a frozenset of (u, v) pairs: the constructor keeps
+    the set it builds from its input, while the board generators build the
+    masks directly and the set is derived from them on first read.  Labels,
+    when present, assign a distinct cell to every vertex; generated instances
+    label vertices with the cells of a full board in row-major order.
+    `board` is the board whose cells are exactly the labels, or None when
+    there is no such board: the digraph is unlabeled or empty, or its labels
+    leave a hole or hold a cell below (1, 1).  Instances are safe to share
+    across threads once constructed; two threads reading `arcs` of a
+    generated digraph at once may each derive an equal set.
     """
 
-    __slots__ = ("vertex_count", "arcs", "out_mask", "in_mask", "labels", "board")
+    __slots__ = ("vertex_count", "_arcs", "out_mask", "in_mask", "labels", "board")
 
     def __init__(
         self,
@@ -41,10 +49,10 @@ class Digraph:
         arcs: Iterable[tuple[int, int]],
         labels: Sequence[Cell] | None = None,
     ) -> None:
-        n = int(vertex_count)
+        n = operator.index(vertex_count)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        arc_set = frozenset((int(u), int(v)) for u, v in arcs)
+        arc_set = frozenset((operator.index(u), operator.index(v)) for u, v in arcs)
         out_mask = [0] * n
         in_mask = [0] * n
         for u, v in arc_set:
@@ -60,28 +68,66 @@ class Digraph:
                 v = both.bit_length() - 1
                 raise ValueError(f"two-cycle between {u} and {v}; orientations allow one arc per pair")
         self.vertex_count = n
-        self.arcs = arc_set
+        self._arcs: frozenset[tuple[int, int]] | None = arc_set
         self.out_mask = tuple(out_mask)
         self.in_mask = tuple(in_mask)
+        self._set_labels(labels)
+
+    @classmethod
+    def _from_masks(cls, out_mask: Sequence[int], in_mask: Sequence[int], labels: Sequence[Cell] | None) -> Digraph:
+        """A digraph from masks the caller knows are an orientation and its transpose.
+
+        Labels are validated as in the constructor; the arcs are not checked.
+        """
+        g = object.__new__(cls)
+        g.vertex_count = len(out_mask)
+        g._arcs = None
+        g.out_mask = tuple(out_mask)
+        g.in_mask = tuple(in_mask)
+        g._set_labels(labels)
+        return g
+
+    def _set_labels(self, labels: Sequence[Cell] | None) -> None:
+        n = self.vertex_count
         if labels is None:
             self.labels: tuple[Cell, ...] | None = None
             self.board: Board | None = None
-        else:
-            lab = tuple(Cell(int(r), int(c)) for r, c in labels)
-            if len(lab) != n:
-                raise ValueError(f"expected {n} labels, got {len(lab)}")
-            if len(set(lab)) != n:
-                raise ValueError("vertex labels must be distinct cells")
-            self.labels = lab
-            # n distinct cells on a board of n cells are all of its cells.
-            rows = [cell.row for cell in lab]
-            cols = [cell.col for cell in lab]
-            full = n > 0 and min(rows) >= 1 and min(cols) >= 1 and max(rows) * max(cols) == n
-            self.board = Board(max(rows), max(cols)) if full else None
+            return
+        lab = tuple(Cell(operator.index(r), operator.index(c)) for r, c in labels)
+        if len(lab) != n:
+            raise ValueError(f"expected {n} labels, got {len(lab)}")
+        if len(set(lab)) != n:
+            raise ValueError("vertex labels must be distinct cells")
+        self.labels = lab
+        # n distinct cells on a board of n cells are all of its cells.
+        rows = [cell.row for cell in lab]
+        cols = [cell.col for cell in lab]
+        full = n > 0 and min(rows) >= 1 and min(cols) >= 1 and max(rows) * max(cols) == n
+        self.board = Board(max(rows), max(cols)) if full else None
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """Every arc (u, v), as a set."""
+        if self._arcs is None:
+            self._arcs = frozenset(_arcs_in_order(self))
+        return self._arcs
 
     def __repr__(self) -> str:
         tag = ", labeled" if self.labels is not None else ""
-        return f"Digraph({self.vertex_count} vertices, {len(self.arcs)} arcs{tag})"
+        return f"Digraph({self.vertex_count} vertices, {_arc_count(self)} arcs{tag})"
+
+
+def _arcs_in_order(g: Digraph) -> Iterator[tuple[int, int]]:
+    """Every arc (u, v) in increasing (u, v) order, read off the out-masks."""
+    for u, succ in enumerate(g.out_mask):
+        while succ:
+            lsb = succ & -succ
+            yield u, lsb.bit_length() - 1
+            succ ^= lsb
+
+
+def _arc_count(g: Digraph) -> int:
+    return sum(mask.bit_count() for mask in g.out_mask)
 
 
 def is_acyclic(g: Digraph, within: Iterable[int] | None = None) -> bool:
@@ -150,14 +196,14 @@ def induced(g: Digraph, members: Iterable[int]) -> Digraph:
 def is_tournament(g: Digraph) -> bool:
     """Whether every vertex pair is joined by exactly one arc."""
     n = g.vertex_count
-    return len(g.arcs) == n * (n - 1) // 2
+    return _arc_count(g) == n * (n - 1) // 2
 
 
 def digraph_to_json(g: Digraph) -> dict:
     """Serialize to {"vertices", "arcs", "labels"?}; vertices 0-based, cells 1-based."""
     doc: dict = {
         "vertices": g.vertex_count,
-        "arcs": [[u, v] for u, v in sorted(g.arcs)],
+        "arcs": [[u, v] for u, v in _arcs_in_order(g)],
     }
     if g.labels is not None:
         doc["labels"] = {str(v): [cell.row, cell.col] for v, cell in enumerate(g.labels)}
@@ -167,7 +213,7 @@ def digraph_to_json(g: Digraph) -> dict:
 def digraph_from_json(doc: dict) -> Digraph:
     """Parse a digraph document, validating the orientation invariants."""
     try:
-        n = int(doc["vertices"])
+        n = operator.index(doc["vertices"])
         if n > _MAX_JSON_VERTICES:
             raise ValueError(f"{n} vertices exceeds the {_MAX_JSON_VERTICES}-vertex input cap")
         raw_labels = doc.get("labels")
@@ -189,7 +235,7 @@ def digraph_to_dot(g: Digraph) -> str:
     lines = ["digraph {"]
     for v in range(g.vertex_count):
         lines.append(f'  "{_vertex_name(g, v)}";')
-    for u, v in sorted(g.arcs):
+    for u, v in _arcs_in_order(g):
         lines.append(f'  "{_vertex_name(g, u)}" -> "{_vertex_name(g, v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -108,8 +108,15 @@ class TestSolve:
             '{"vertices": 1e400, "arcs": []}',
             '{"vertices": 2, "arcs": [[0, 1e400]]}',
             '{"vertices": 1, "arcs": [], "labels": {"0": [1e400, 1]}}',
+            '{"vertices": 3, "arcs": [[0.9, 1.7], [1, 2], [2, 0]]}',
+            '{"vertices": 2.9, "arcs": []}',
+            '{"vertices": 1, "arcs": [], "labels": {"0": [1.9, 1]}}',
+            '{"vertices": "2", "arcs": []}',
         ],
-        ids=["vertices", "arc", "label"],
+        ids=[
+            "vertices", "arc", "label",
+            "fractional-arc", "fractional-vertices", "fractional-label", "string-vertices",
+        ],
     )
     def test_number_overflowing_an_int_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "huge.json"
@@ -201,8 +208,13 @@ class TestExportSvg:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"n": 1e400, "m": 1, "classes": []}', '{"n": 1, "m": 1, "classes": [[[1e400, 1]]]}'],
-        ids=["side", "cell"],
+        [
+            '{"n": 1e400, "m": 1, "classes": []}',
+            '{"n": 1, "m": 1, "classes": [[[1e400, 1]]]}',
+            '{"n": 2.5, "m": 1, "classes": [[[1, 1]], [[2, 1]]]}',
+            '{"n": 2, "m": 1, "classes": [[[1.5, 1]], [[2, 1]]]}',
+        ],
+        ids=["side", "cell", "fractional-side", "fractional-cell"],
     )
     def test_number_overflowing_an_int_exits_2(self, tmp_path, capsys, text):
         doc = tmp_path / "huge.json"

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -54,6 +56,13 @@ class TestDigraphJson:
         g = Digraph(4, [(0, 3), (1, 2)])
         again = digraph_from_json(digraph_to_json(g))
         assert again.arcs == g.arcs and again.labels is None
+
+    def test_arcs_listed_in_order_whatever_the_input_order(self):
+        arcs = [(u, v) if (u * v) % 3 else (v, u) for u, v in combinations(range(9), 2)]
+        random.Random(5).shuffle(arcs)
+        g = Digraph(9, arcs)
+        assert digraph_to_json(g)["arcs"] == sorted([u, v] for u, v in arcs)
+        assert digraph_to_dot(g).splitlines()[10:-1] == [f'  "v{u}" -> "v{v}";' for u, v in sorted(arcs)]
 
     def test_vertex_ids_zero_based_cells_one_based(self):
         g = build_tournament(1)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,9 @@ from dicolor import (
     build_npartite,
     build_tournament,
     cell_set_of,
+    dichromatic_number,
     digraph_from_json,
+    digraph_to_dot,
     digraph_to_json,
     find_directed_triangle,
     induced,
@@ -147,6 +150,60 @@ class TestSizeCap:
         # T_19 has 936,396 cell pairs, under the cap, so it gets as far as listing its cells
         with pytest.raises(AssertionError, match="listed"):
             build_tournament(19)
+
+
+def rule_digraph(n, m, same_row_arcs=True):
+    """What the validating constructor builds from the paper's rule on an n x m board."""
+    cells = list(Board(n, m).cells())
+    vertex = {cell: v for v, cell in enumerate(cells)}
+    arcs = [(vertex[a], vertex[b]) for a, b in board_arcs_by_rule(n, m, same_row_arcs)]
+    return Digraph(len(cells), arcs, cells)
+
+
+def transpose(masks):
+    flipped = [0] * len(masks)
+    for u, mask in enumerate(masks):
+        for v in range(len(masks)):
+            if mask >> v & 1:
+                flipped[v] |= 1 << u
+    return tuple(flipped)
+
+
+class TestMaskBuilder:
+    """The generators build bitmasks directly; they must match the paper's rule."""
+
+    def test_equals_the_validating_constructor_on_the_rule(self):
+        boards = [(n, m) for n in range(1, 8) for m in range(1, 8)]
+        cases = [(f"T({n}x{m})", tournament_from_board(n, m), rule_digraph(n, m)) for n, m in boards]
+        cases += [(f"P({n}x{m})", build_npartite(n, m), rule_digraph(n, m, False)) for n, m in boards]
+        cases += [(f"T_{k}", build_tournament(k), rule_digraph(2 * k - 1, 2 * k - 1)) for k in range(1, 7)]
+        for name, g, expected in cases:
+            assert g.out_mask == expected.out_mask, name
+            assert g.in_mask == expected.in_mask == transpose(g.out_mask), name
+            assert digraph_to_json(g) == digraph_to_json(expected), name
+            assert digraph_to_dot(g) == digraph_to_dot(expected), name
+            assert repr(g) == repr(expected), name
+            assert g.arcs == expected.arcs and g.arcs is g.arcs, name
+            assert g.labels == expected.labels and g.board == expected.board, name
+        h = Digraph(3, [(0, 1), (1, 2)])
+        assert h.arcs is h.arcs
+
+    def test_generating_serializing_and_solving_build_no_arc_set(self):
+        g = build_tournament(3)
+        repr(g), is_tournament(g), digraph_to_json(g), digraph_to_dot(g)
+        assert dichromatic_number(g).value == 3
+        assert g._arcs is None
+        assert g.arcs is g.arcs and g._arcs is g.arcs
+
+    def test_largest_tournament_builds_in_little_memory(self):
+        tracemalloc.start()
+        try:
+            g = build_tournament(19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert g.vertex_count == 1369 and is_tournament(g)
 
 
 class TestLabelBridges:
