@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 C_SPARSE = "c-sparse"
@@ -194,8 +195,8 @@ def restrict(s: CellSet, keep_rows: Iterable[int], keep_cols: Iterable[int]) -> 
     within the keep sets, so the sub-board ordering is the one induced from
     the original board.  Restriction preserves c-sparseness.
     """
-    rows = sorted(set(int(r) for r in keep_rows))
-    cols = sorted(set(int(c) for c in keep_cols))
+    rows = sorted(set(map(operator.index, keep_rows)))
+    cols = sorted(set(map(operator.index, keep_cols)))
     if not rows or not cols:
         raise ValueError("keep sets must be non-empty")
     if rows[0] < 1 or rows[-1] > s.board.n or cols[0] < 1 or cols[-1] > s.board.m:
@@ -332,7 +333,11 @@ def partition_to_json(p: CellPartition) -> dict:
 def partition_from_json(doc: dict) -> CellPartition:
     """Parse and validate a partition document."""
     try:
+        classes = doc["classes"]
+        # operator.index reads JSON true/false as 1/0; one type scan refuses them.
+        if bool in map(type, chain((doc["n"], doc["m"]), chain.from_iterable(chain.from_iterable(classes)))):
+            raise TypeError("booleans are not integers")
         board = Board(operator.index(doc["n"]), operator.index(doc["m"]))
-        return CellPartition(board, [CellSet(board, part) for part in doc["classes"]])
+        return CellPartition(board, [CellSet(board, part) for part in classes])
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed cell document: {exc}") from exc

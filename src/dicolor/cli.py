@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .board import Board, bruteforce_min_partition, optimal_c_sparse_partition, partition_from_json, partition_to_json
-from .digraph import _arc_count, digraph_from_json, digraph_to_dot, digraph_to_json
+from .digraph import digraph_from_json, digraph_to_dot, digraph_to_json
 from .generators import build_npartite, build_tournament
 from .render import partition_to_svg
 from .solvers import (
@@ -52,7 +52,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         text = digraph_to_dot(g)
     Path(args.out).write_text(text)
-    print(f"vertices: {g.vertex_count} arcs: {_arc_count(g)}")
+    print(f"vertices: {g.vertex_count} arcs: {len(g.arcs)}")
     return 0
 
 

@@ -1,17 +1,18 @@
 """Finite oriented graphs: bitmask adjacency, acyclicity, and directed triangles.
 
 Vertices are dense integers 0..vertex_count-1; a digraph may contain at most
-one of (u, v) and (v, u) for any pair and no self-loops.  Its representation
-is one out-neighbour and one in-neighbour bitmask per vertex; the arc set is
-kept alongside when the digraph is built from arcs, and derived from the
-masks on first use otherwise.  Graphs built from checkerboards carry an
+one of (u, v) and (v, u) for any pair and no self-loops.  Its only stored
+form is one out-neighbour and one in-neighbour bitmask per vertex; `arcs` is
+a read-only set view of the out-masks, like `dict.keys()`, and every
+function here reads the masks.  Graphs built from checkerboards carry an
 optional per-vertex cell label, and know the board those labels cover.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import combinations
+from collections.abc import Set
+from itertools import chain, compress, count, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .board import Board, Cell
@@ -23,25 +24,35 @@ from .board import Board, Cell
 # RSS from 18 to 75 MB (Python 3.11.7), and a 100,000-vertex path took 1.4 GB.
 _MAX_JSON_VERTICES = 20_000
 
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """One byte per bit of a non-negative mask, lowest bit first: 1 if set, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_ZERO_ONE)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of a mask's set bits, in increasing order."""
+    return compress(count(), _bit_flags(mask))
+
 
 class Digraph:
     """Immutable oriented graph.
 
     Bit v of `out_mask[u]` is set iff (u, v) is an arc, and `in_mask` is its
-    transpose; the solvers and predicates read only these masks.  `arcs` is
-    the same relation as a frozenset of (u, v) pairs: the constructor keeps
-    the set it builds from its input, while the board generators build the
-    masks directly and the set is derived from them on first read.  Labels,
+    transpose; these two tuples are the whole relation.  `arcs` views it as
+    a set of (u, v) pairs: membership is one mask test, iteration runs in
+    increasing (u, v) order, and set operators return a frozenset.  Labels,
     when present, assign a distinct cell to every vertex; generated instances
     label vertices with the cells of a full board in row-major order.
     `board` is the board whose cells are exactly the labels, or None when
     there is no such board: the digraph is unlabeled or empty, or its labels
     leave a hole or hold a cell below (1, 1).  Instances are safe to share
-    across threads once constructed; two threads reading `arcs` of a
-    generated digraph at once may each derive an equal set.
+    across threads once constructed.
     """
 
-    __slots__ = ("vertex_count", "_arcs", "out_mask", "in_mask", "labels", "board")
+    __slots__ = ("vertex_count", "out_mask", "in_mask", "labels", "board")
 
     def __init__(
         self,
@@ -52,10 +63,11 @@ class Digraph:
         n = operator.index(vertex_count)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        arc_set = frozenset((operator.index(u), operator.index(v)) for u, v in arcs)
         out_mask = [0] * n
         in_mask = [0] * n
-        for u, v in arc_set:
+        index = operator.index
+        for u, v in arcs:
+            u, v = index(u), index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
@@ -68,7 +80,6 @@ class Digraph:
                 v = both.bit_length() - 1
                 raise ValueError(f"two-cycle between {u} and {v}; orientations allow one arc per pair")
         self.vertex_count = n
-        self._arcs: frozenset[tuple[int, int]] | None = arc_set
         self.out_mask = tuple(out_mask)
         self.in_mask = tuple(in_mask)
         self._set_labels(labels)
@@ -81,7 +92,6 @@ class Digraph:
         """
         g = object.__new__(cls)
         g.vertex_count = len(out_mask)
-        g._arcs = None
         g.out_mask = tuple(out_mask)
         g.in_mask = tuple(in_mask)
         g._set_labels(labels)
@@ -106,28 +116,54 @@ class Digraph:
         self.board = Board(max(rows), max(cols)) if full else None
 
     @property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        """Every arc (u, v), as a set."""
-        if self._arcs is None:
-            self._arcs = frozenset(_arcs_in_order(self))
-        return self._arcs
+    def arcs(self) -> _ArcView:
+        """Every arc (u, v), as a read-only set view of the out-masks."""
+        return _ArcView(self.out_mask)
 
     def __repr__(self) -> str:
         tag = ", labeled" if self.labels is not None else ""
-        return f"Digraph({self.vertex_count} vertices, {_arc_count(self)} arcs{tag})"
+        return f"Digraph({self.vertex_count} vertices, {len(self.arcs)} arcs{tag})"
 
 
-def _arcs_in_order(g: Digraph) -> Iterator[tuple[int, int]]:
-    """Every arc (u, v) in increasing (u, v) order, read off the out-masks."""
-    for u, succ in enumerate(g.out_mask):
-        while succ:
-            lsb = succ & -succ
-            yield u, lsb.bit_length() - 1
-            succ ^= lsb
+class _ArcView(Set):
+    """The arcs (u, v) of a tuple of out-masks, as a set that stores nothing else."""
+
+    __slots__ = ("_out_mask",)
+
+    def __init__(self, out_mask: tuple[int, ...]) -> None:
+        self._out_mask = out_mask
+
+    def __contains__(self, arc: object) -> bool:
+        try:
+            u, v = arc
+            u = operator.index(u)
+            v = operator.index(v)
+        except (TypeError, ValueError):
+            return False
+        return 0 <= u < len(self._out_mask) and v >= 0 and self._out_mask[u] >> v & 1 == 1
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return chain.from_iterable(zip(repeat(u), _bits(mask)) for u, mask in enumerate(self._out_mask))
+
+    def __len__(self) -> int:
+        return sum(map(int.bit_count, self._out_mask))
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+        return frozenset(it)
 
 
-def _arc_count(g: Digraph) -> int:
-    return sum(mask.bit_count() for mask in g.out_mask)
+def _member_mask(g: Digraph, members: Iterable[int] | None) -> int:
+    """The members as a vertex mask; every vertex when members is None."""
+    n = g.vertex_count
+    if members is None:
+        return (1 << n) - 1
+    mask = 0
+    for v in map(operator.index, members):
+        if not 0 <= v < n:
+            raise ValueError("vertex set contains indices outside the digraph")
+        mask |= 1 << v
+    return mask
 
 
 def is_acyclic(g: Digraph, within: Iterable[int] | None = None) -> bool:
@@ -136,14 +172,11 @@ def is_acyclic(g: Digraph, within: Iterable[int] | None = None) -> bool:
     With `within`, the test applies to the sub-digraph induced by that
     vertex set.
     """
-    members = _validated_members(g, within)
-    rest = 0
-    for v in members:
-        rest |= 1 << v
+    rest = _member_mask(g, within)
     out_mask, in_mask = g.out_mask, g.in_mask
     # Kahn's sort: a member joins the stack once no predecessor is left in
     # rest, so each member is pushed at most once.
-    stack = [v for v in members if not in_mask[v] & rest]
+    stack = [v for v in _bits(rest) if not in_mask[v] & rest]
     while stack:
         v = stack.pop()
         rest ^= 1 << v
@@ -157,15 +190,6 @@ def is_acyclic(g: Digraph, within: Iterable[int] | None = None) -> bool:
     return not rest
 
 
-def _validated_members(g: Digraph, members: Iterable[int] | None) -> list[int]:
-    if members is None:
-        return list(range(g.vertex_count))
-    vs = sorted(set(int(v) for v in members))
-    if vs and not (0 <= vs[0] and vs[-1] < g.vertex_count):
-        raise ValueError("vertex set contains indices outside the digraph")
-    return vs
-
-
 def find_directed_triangle(
     g: Digraph, within: Iterable[int] | None = None
 ) -> tuple[int, int, int] | None:
@@ -174,37 +198,49 @@ def find_directed_triangle(
     Candidates are scanned in lexicographic vertex order, so the result is
     deterministic.
     """
-    vs = _validated_members(g, within)
-    arcs = g.arcs
-    for a, b, c in combinations(vs, 3):
-        if (a, b) in arcs and (b, c) in arcs and (c, a) in arcs:
-            return (a, b, c)
-        if (a, c) in arcs and (c, b) in arcs and (b, a) in arcs:
-            return (a, c, b)
+    members = _member_mask(g, within)
+    out_mask, in_mask = g.out_mask, g.in_mask
+    # For adjacent members a < b, the lowest later member c closing a triangle
+    # with them; the first pair that has one gives the first triple.
+    for a in _bits(members):
+        for b in _bits((out_mask[a] | in_mask[a]) & members >> a + 1 << a + 1):
+            later = members >> b + 1 << b + 1
+            if out_mask[a] >> b & 1:
+                closing = out_mask[b] & in_mask[a] & later
+                if closing:
+                    return (a, b, (closing & -closing).bit_length() - 1)
+            else:
+                closing = out_mask[a] & in_mask[b] & later
+                if closing:
+                    return (a, (closing & -closing).bit_length() - 1, b)
     return None
 
 
 def induced(g: Digraph, members: Iterable[int]) -> Digraph:
     """Sub-digraph induced by a vertex set, re-indexed in increasing order."""
-    vs = _validated_members(g, members)
-    index = {v: i for i, v in enumerate(vs)}
-    arcs = [(index[u], index[v]) for u, v in g.arcs if u in index and v in index]
+    mask = _member_mask(g, members)
+    keep = _bit_flags(mask)
+    vs = list(compress(count(), keep))
+
+    def squeeze(row: int) -> int:
+        # The row's bits at the members, packed down to bits 0..len(vs)-1.
+        return int("0" + "".join(compress(bin(row)[:1:-1], keep))[::-1], 2)
+
     labels = tuple(g.labels[v] for v in vs) if g.labels is not None else None
-    return Digraph(len(vs), arcs, labels)
+    return Digraph._from_masks(
+        [squeeze(g.out_mask[v]) for v in vs], [squeeze(g.in_mask[v]) for v in vs], labels
+    )
 
 
 def is_tournament(g: Digraph) -> bool:
     """Whether every vertex pair is joined by exactly one arc."""
     n = g.vertex_count
-    return _arc_count(g) == n * (n - 1) // 2
+    return len(g.arcs) == n * (n - 1) // 2
 
 
 def digraph_to_json(g: Digraph) -> dict:
     """Serialize to {"vertices", "arcs", "labels"?}; vertices 0-based, cells 1-based."""
-    doc: dict = {
-        "vertices": g.vertex_count,
-        "arcs": [[u, v] for u, v in _arcs_in_order(g)],
-    }
+    doc: dict = {"vertices": g.vertex_count, "arcs": list(map(list, g.arcs))}
     if g.labels is not None:
         doc["labels"] = {str(v): [cell.row, cell.col] for v, cell in enumerate(g.labels)}
     return doc
@@ -218,24 +254,19 @@ def digraph_from_json(doc: dict) -> Digraph:
             raise ValueError(f"{n} vertices exceeds the {_MAX_JSON_VERTICES}-vertex input cap")
         raw_labels = doc.get("labels")
         labels = None if raw_labels is None else [raw_labels[str(v)] for v in range(n)]
-        return Digraph(n, doc["arcs"], labels)
+        arcs = doc["arcs"]
+        # operator.index reads JSON true/false as 1/0; one type scan refuses them.
+        if bool in map(type, chain((doc["vertices"],), chain.from_iterable(arcs), chain.from_iterable(labels or ()))):
+            raise TypeError("booleans are not integers")
+        return Digraph(n, arcs, labels)
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed digraph document: {exc}") from exc
 
 
-def _vertex_name(g: Digraph, v: int) -> str:
-    if g.labels is not None:
-        cell = g.labels[v]
-        return f"r{cell.row}c{cell.col}"
-    return f"v{v}"
-
-
 def digraph_to_dot(g: Digraph) -> str:
     """DOT text with one node line per vertex and one edge line per arc."""
-    lines = ["digraph {"]
-    for v in range(g.vertex_count):
-        lines.append(f'  "{_vertex_name(g, v)}";')
-    for u, v in _arcs_in_order(g):
-        lines.append(f'  "{_vertex_name(g, u)}" -> "{_vertex_name(g, v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = g.labels
+    names = [f"v{v}" for v in range(g.vertex_count)] if labels is None else [f"r{r}c{c}" for r, c in labels]
+    lines = ["digraph {", *(f'  "{name}";' for name in names)]
+    lines += [f'  "{names[u]}" -> "{names[v]}";' for u, v in g.arcs]
+    return "\n".join(lines) + "\n}\n"

@@ -62,25 +62,35 @@ def max_sparse_by_enumeration(board: Board, predicate) -> int:
     return max(len(sub) for sub in all_subsets(board) if predicate(CellSet(board, sub)))
 
 
+def _cycle_among(arcs: frozenset, vertices: list[int]) -> bool:
+    """Some non-empty subset of the vertices has minimum internal out-degree >= 1."""
+    for mask in range(1, 1 << len(vertices)):
+        inside = [v for i, v in enumerate(vertices) if mask >> i & 1]
+        if all(any((v, w) in arcs for w in inside) for v in inside):
+            return True
+    return False
+
+
 def has_directed_cycle_by_subsets(g: Digraph) -> bool:
     """A digraph has a directed cycle iff some non-empty vertex subset has
     minimum internal out-degree >= 1."""
-    n = g.vertex_count
-    for mask in range(1, 1 << n):
-        inside = {v for v in range(n) if mask >> v & 1}
-        if all(any((v, w) in g.arcs for w in inside) for v in inside):
-            return True
-    return False
+    return _cycle_among(frozenset(g.arcs), list(range(g.vertex_count)))
 
 
-def class_has_triangle(g: Digraph, members: list[int]) -> bool:
-    arcs = g.arcs
-    for u, v, w in combinations(members, 3):
-        if ((u, v) in arcs and (v, w) in arcs and (w, u) in arcs) or (
-            (u, w) in arcs and (w, v) in arcs and (v, u) in arcs
-        ):
-            return True
-    return False
+def _triangle_among(arcs: frozenset, members) -> tuple[int, int, int] | None:
+    for a, b, c in combinations(sorted(set(members)), 3):
+        if (a, b) in arcs and (b, c) in arcs and (c, a) in arcs:
+            return (a, b, c)
+        if (a, c) in arcs and (c, b) in arcs and (b, a) in arcs:
+            return (a, c, b)
+    return None
+
+
+def first_triangle_by_scan(g: Digraph, members=None) -> tuple[int, int, int] | None:
+    """The first directed triangle over member triples a < b < c in
+    lexicographic order: (a, b, c) if a->b->c->a, else (a, c, b) if
+    a->c->b->a; None if no triple closes one."""
+    return _triangle_among(frozenset(g.arcs), range(g.vertex_count) if members is None else members)
 
 
 def set_partitions(items: list):
@@ -97,12 +107,12 @@ def set_partitions(items: list):
 
 def min_colors_by_enumeration(g: Digraph, constraint: str) -> int:
     """Exact minimum over all vertex partitions, checked from the definitions."""
-    from dicolor import induced
+    arcs = frozenset(g.arcs)
 
     def class_ok(members: list[int]) -> bool:
         if constraint == "triangle-free":
-            return not class_has_triangle(g, members)
-        return not has_directed_cycle_by_subsets(induced(g, members))
+            return _triangle_among(arcs, members) is None
+        return not _cycle_among(arcs, members)
 
     if g.vertex_count == 0:
         return 0

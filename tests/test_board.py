@@ -222,6 +222,13 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(s, {1}, {4})
 
+    def test_rejects_fractional_keeps(self):
+        s = CellSet(Board(3, 3), [(1, 1), (2, 1)])
+        with pytest.raises(TypeError):
+            restrict(s, [1.7, 2], [1])
+        with pytest.raises(TypeError):
+            restrict(s, [1], [1.5])
+
     def test_preserves_c_sparseness_exhaustively(self):
         board = Board(3, 3)
         keeps = [{1}, {2}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}]

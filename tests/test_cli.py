@@ -112,10 +112,14 @@ class TestSolve:
             '{"vertices": 2.9, "arcs": []}',
             '{"vertices": 1, "arcs": [], "labels": {"0": [1.9, 1]}}',
             '{"vertices": "2", "arcs": []}',
+            '{"vertices": true, "arcs": []}',
+            '{"vertices": 2, "arcs": [[false, true]]}',
+            '{"vertices": 1, "arcs": [], "labels": {"0": [true, 1]}}',
         ],
         ids=[
             "vertices", "arc", "label",
             "fractional-arc", "fractional-vertices", "fractional-label", "string-vertices",
+            "boolean-vertices", "boolean-arc", "boolean-label",
         ],
     )
     def test_number_overflowing_an_int_exits_2(self, tmp_path, capsys, text):
@@ -213,8 +217,10 @@ class TestExportSvg:
             '{"n": 1, "m": 1, "classes": [[[1e400, 1]]]}',
             '{"n": 2.5, "m": 1, "classes": [[[1, 1]], [[2, 1]]]}',
             '{"n": 2, "m": 1, "classes": [[[1.5, 1]], [[2, 1]]]}',
+            '{"n": true, "m": 1, "classes": [[[1, 1]]]}',
+            '{"n": 1, "m": 1, "classes": [[[true, true]]]}',
         ],
-        ids=["side", "cell", "fractional-side", "fractional-cell"],
+        ids=["side", "cell", "fractional-side", "fractional-cell", "boolean-side", "boolean-cell"],
     )
     def test_number_overflowing_an_int_exits_2(self, tmp_path, capsys, text):
         doc = tmp_path / "huge.json"

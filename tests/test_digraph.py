@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicolor import (
     Cell,
@@ -14,7 +17,7 @@ from dicolor import (
     is_acyclic,
     is_tournament,
 )
-from oracles import has_directed_cycle_by_subsets, random_digraph
+from oracles import first_triangle_by_scan, has_directed_cycle_by_subsets, random_digraph, random_tournament
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 TRANSITIVE = Digraph(3, [(0, 1), (0, 2), (1, 2)])
@@ -78,6 +81,63 @@ class TestMasks:
             assert_masks_are_the_arc_set(g)
 
 
+@st.composite
+def oriented_arc_lists(draw):
+    """A vertex count and the arcs of a random orientation, in random order."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    ways = draw(st.lists(st.sampled_from("-><"), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [(u, v) if way == ">" else (v, u) for (u, v), way in zip(pairs, ways) if way != "-"]
+    return n, draw(st.permutations(arcs))
+
+
+class TestArcView:
+    """`arcs` is a read-only set view of the out-masks, like dict.keys()."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(oriented_arc_lists())
+    def test_behaves_as_the_set_of_its_arcs(self, case):
+        n, arcs = case
+        g = Digraph(n, arcs)
+        expected = frozenset(arcs)
+        assert g.arcs == expected and expected == g.arcs
+        assert not g.arcs != expected and not expected != g.arcs
+        assert g.arcs <= expected and expected <= g.arcs and g.arcs == Digraph(n, arcs).arcs
+        assert len(g.arcs) == len(expected)
+        assert list(g.arcs) == sorted(expected)
+        assert all(arc in g.arcs for arc in expected)
+        other = frozenset({(0, 1), (1, 0), (2, 3)})
+        for got, want in (
+            (g.arcs | other, expected | other),
+            (other | g.arcs, expected | other),
+            (g.arcs & other, expected & other),
+            (other & g.arcs, expected & other),
+            (g.arcs - other, expected - other),
+            (other - g.arcs, other - expected),
+        ):
+            assert type(got) is frozenset and got == want
+        for probe in ((-1, 0), (0, n), (0,), "ab", (0.5, 1)):
+            assert probe not in g.arcs
+
+    def test_is_unhashable_and_read_only(self):
+        arcs = TRIANGLE.arcs
+        with pytest.raises(TypeError):
+            hash(arcs)
+        assert not hasattr(arcs, "add") and not hasattr(arcs, "discard")
+
+    def test_reading_the_largest_tournament_builds_no_arc_set(self):
+        g = build_tournament(19)
+        tracemalloc.start()
+        try:
+            arcs = g.arcs
+            assert len(arcs) == 936_396
+            assert ((0, 1) in arcs) != ((1, 0) in arcs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestAcyclicity:
     def test_triangle(self):
         assert not is_acyclic(TRIANGLE)
@@ -128,6 +188,11 @@ class TestAcyclicity:
         assert is_acyclic(ring, (v for v in range(n) if v != 3))
         assert not is_acyclic(ring, (v for v in range(n)))
 
+    def test_fractional_members_are_refused(self):
+        for call in (is_acyclic, find_directed_triangle, induced):
+            with pytest.raises(TypeError):
+                call(TRIANGLE, [0.9, 1.5, 2.2])
+
     def test_long_path_and_ring(self):
         # Correctness only: no time is asserted.
         n = 20_000
@@ -163,6 +228,15 @@ class TestTriangleSearch:
         with pytest.raises(ValueError):
             find_directed_triangle(TRIANGLE, within={0, 9})
 
+    def test_matches_the_combinations_scan(self):
+        rng = random.Random(17)
+        graphs = [random_digraph(rng, rng.randint(0, 12), rng.random()) for _ in range(800)]
+        graphs += [random_tournament(rng, rng.randint(3, 12)) for _ in range(200)]
+        for g in graphs:
+            members = [v for v in range(g.vertex_count) if rng.random() < 0.7]
+            assert find_directed_triangle(g) == first_triangle_by_scan(g)
+            assert find_directed_triangle(g, members[::-1]) == first_triangle_by_scan(g, members)
+
 
 class TestInduced:
     def test_full_set_identity(self):
@@ -196,6 +270,21 @@ class TestInduced:
             members = {v for v in range(7) if rng.random() < 0.5}
             h = induced(g, members)
             assert len(h.arcs) == sum(1 for u, v in g.arcs if u in members and v in members)
+
+    def test_equals_the_arc_tuple_construction(self):
+        rng = random.Random(23)
+        graphs = [random_digraph(rng, rng.randint(0, 10), rng.random()) for _ in range(150)]
+        graphs += [build_tournament(3), build_npartite(4, 3)]
+        for g in graphs:
+            for _ in range(3):
+                vs = [v for v in range(g.vertex_count) if rng.random() < 0.5]
+                index = {v: i for i, v in enumerate(vs)}
+                arcs = [(index[u], index[v]) for u, v in frozenset(g.arcs) if u in index and v in index]
+                labels = None if g.labels is None else [g.labels[v] for v in vs]
+                expected = Digraph(len(vs), arcs, labels)
+                h = induced(g, vs[::-1] + vs)
+                assert (h.vertex_count, h.out_mask, h.in_mask) == (len(vs), expected.out_mask, expected.in_mask)
+                assert h.labels == expected.labels and h.board == expected.board
 
     def test_labels_restricted(self):
         g = build_tournament(2)
