@@ -6,7 +6,8 @@ set is *c-sparse* when no member of a different column lies strictly between
 two same-column members under that order; the *weak* variant only forbids
 members whose row lies strictly between the rows of two same-column members.
 
-The module provides those predicates, the diagonal-band construction that
+The module provides those predicates (column-span tests on a cell set's
+row-major mask, see `CellSet`), the diagonal-band construction that
 partitions a square board into floor(n/2)+1 c-sparse classes, deletion of
 rows/columns (which preserves c-sparseness), and exhaustive brute-force
 oracles for extremal set sizes and minimum partition sizes on small boards.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count
 from typing import Iterable, Iterator, NamedTuple
 
 C_SPARSE = "c-sparse"
@@ -24,6 +25,18 @@ WEAK_C_SPARSE = "weak-c-sparse"
 
 # Hard cap for the exhaustive oracles; beyond this they refuse to run.
 MAX_BRUTEFORCE_CELLS = 25
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """One byte per bit of a non-negative mask, lowest bit first: 1 if set, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_ZERO_ONE)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of a mask's set bits, in increasing order."""
+    return compress(count(), _bit_flags(mask))
 
 
 class Cell(NamedTuple):
@@ -58,42 +71,68 @@ class Board:
             for j in range(1, self.m + 1):
                 yield Cell(i, j)
 
+    def _cell_tuple(self) -> tuple[Cell, ...]:
+        """All cells in row-major order, listed once per board: entry i is bit i."""
+        if "_cells" not in self.__dict__:
+            object.__setattr__(self, "_cells", tuple(self.cells()))
+        return self.__dict__["_cells"]
+
     def __contains__(self, cell) -> bool:
         r, c = cell
         return 1 <= r <= self.n and 1 <= c <= self.m
 
 
+def _first_column(board: Board) -> int:
+    """The mask of column 1, bit (i-1)*m for every row i; shift it by j-1 for column j."""
+    return ((1 << board.cell_count) - 1) // ((1 << board.m) - 1)
+
+
 @dataclass(frozen=True)
 class CellSet:
-    """A subset of a board's cells."""
+    """A subset of a board's cells, stored as one row-major cell mask.
+
+    Cell (r, c) of an n x m board is bit (r-1)*m + (c-1) of `mask`, the
+    vertex a naturally labeled board digraph gives it, so bit order is cell
+    order.  `cells`, iteration (in row-major order), `len` and `in` are read
+    off the mask; equality and hashing compare board and mask.
+    """
 
     board: Board
-    cells: frozenset[Cell]
+    mask: int
 
     def __init__(self, board: Board, cells: Iterable[Cell]) -> None:
-        normalized = frozenset(Cell(operator.index(r), operator.index(c)) for r, c in cells)
-        for cell in normalized:
+        mask = 0
+        for r, c in cells:
+            cell = Cell(operator.index(r), operator.index(c))
             if cell not in board:
                 raise ValueError(f"cell {cell} is outside the {board.n}x{board.m} board")
+            mask |= 1 << (cell.row - 1) * board.m + cell.col - 1
         object.__setattr__(self, "board", board)
-        object.__setattr__(self, "cells", normalized)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
-    def _unchecked(cls, board: Board, cells: frozenset[Cell]) -> CellSet:
-        """A cell set from cells the caller knows are Cell(int, int) on board."""
+    def _from_mask(cls, board: Board, mask: int) -> CellSet:
+        """A cell set from a mask the caller knows has no bit past the board's last cell."""
         s = object.__new__(cls)
         object.__setattr__(s, "board", board)
-        object.__setattr__(s, "cells", cells)
+        object.__setattr__(s, "mask", mask)
         return s
 
+    @property
+    def cells(self) -> frozenset[Cell]:
+        return frozenset(self)
+
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[Cell]:
-        return iter(sorted(self.cells))
+        return compress(self.board._cell_tuple(), _bit_flags(self.mask))
 
-    def __contains__(self, cell) -> bool:
-        return Cell(*cell) in self.cells
+    def __contains__(self, cell: object) -> bool:
+        try:
+            return self.mask & CellSet(self.board, [cell]).mask != 0
+        except (TypeError, ValueError):  # not an on-board pair of ints
+            return False
 
 
 @dataclass(frozen=True)
@@ -105,16 +144,16 @@ class CellPartition:
 
     def __init__(self, board: Board, classes: Iterable[CellSet]) -> None:
         cls = tuple(classes)
-        seen: set[Cell] = set()
+        seen = 0
         for part in cls:
             if part.board != board:
                 raise ValueError("partition class lives on a different board")
-            if not part.cells:
+            if not part.mask:
                 raise ValueError("partition classes must be non-empty")
-            if seen & part.cells:
+            if seen & part.mask:
                 raise ValueError("partition classes must be pairwise disjoint")
-            seen |= part.cells
-        if len(seen) != board.cell_count:
+            seen |= part.mask
+        if seen != (1 << board.cell_count) - 1:
             raise ValueError("partition classes must cover every cell of the board")
         object.__setattr__(self, "board", board)
         object.__setattr__(self, "classes", cls)
@@ -124,39 +163,38 @@ class CellPartition:
 
     def class_of(self) -> dict[Cell, int]:
         """Map each cell to the index of its class."""
-        return {cell: idx for idx, part in enumerate(self.classes) for cell in part.cells}
+        return {cell: idx for idx, part in enumerate(self.classes) for cell in part}
 
 
 def is_c_sparse(s: CellSet) -> bool:
     """Whether no member of another column sits strictly between two same-column members.
 
-    Equivalent check: in the row-major ordering of the set, consecutive
-    same-column members must be adjacent.  Any violating witness lies between
-    some consecutive same-column pair, and everything between a consecutive
-    pair belongs to other columns.  Empty sets and singletons pass vacuously.
+    Only each column's extremes matter: a member between any two members of
+    a column lies between its lowest and highest.  So per column with two or
+    more members, no other member may have a bit strictly between the
+    column's lowest and highest bit.  Empty sets and singletons pass vacuously.
     """
-    last_position: dict[int, int] = {}
-    for position, cell in enumerate(s):
-        previous = last_position.get(cell.col)
-        if previous is not None and position - previous > 1:
+    mask, column = s.mask, _first_column(s.board)
+    for j in range(s.board.m):
+        same = mask & column << j
+        if same & same - 1 and (mask ^ same) & (1 << same.bit_length() - 1) - ((same & -same) << 1):
             return False
-        last_position[cell.col] = position
     return True
 
 
 def is_weak_c_sparse(s: CellSet) -> bool:
     """Whether no member of another column has a row strictly between two same-column rows.
 
-    The row condition is the binding one, so only the per-column row span
-    matters.  Every c-sparse set is also weak-c-sparse.
+    As for `is_c_sparse`, only each column's row span matters: no other
+    member may lie in a row strictly between the rows of the column's lowest
+    and highest bit.  Every c-sparse set is also weak-c-sparse.
     """
-    span: dict[int, tuple[int, int]] = {}
-    for row, col in s.cells:
-        lo, hi = span.get(col, (row, row))
-        span[col] = (min(lo, row), max(hi, row))
-    for row, col in s.cells:
-        for other, (lo, hi) in span.items():
-            if other != col and lo < row < hi:
+    mask, column, m = s.mask, _first_column(s.board), s.board.m
+    for j in range(m):
+        same = mask & column << j
+        if same & same - 1:
+            lo, hi = ((same & -same).bit_length() - 1) // m, (same.bit_length() - 1) // m
+            if (mask ^ same) & (1 << hi * m) - (1 << (lo + 1) * m):
                 return False
     return True
 
@@ -204,17 +242,13 @@ def restrict(s: CellSet, keep_rows: Iterable[int], keep_cols: Iterable[int]) -> 
     row_rank = {r: i + 1 for i, r in enumerate(rows)}
     col_rank = {c: i + 1 for i, c in enumerate(cols)}
     sub = Board(len(rows), len(cols))
-    kept = [
-        Cell(row_rank[cell.row], col_rank[cell.col])
-        for cell in s.cells
-        if cell.row in row_rank and cell.col in col_rank
-    ]
+    kept = [(row_rank[r], col_rank[c]) for r, c in s if r in row_rank and c in col_rank]
     return CellSet(sub, kept)
 
 
 # Largest side the construction accepts; larger boards are refused before any
-# cell is listed.  Side 500 takes about 4 s and 170 MB through the CLI, and
-# exceeds the side (316) of any square board within the JSON vertex cap.
+# cell is listed.  Side 500 takes about 6 s and 165 MB through the CLI with
+# --svg, and exceeds the side (316) of any square board in the JSON vertex cap.
 _MAX_PARTITION_SIDE = 500
 
 
@@ -223,17 +257,17 @@ def optimal_c_sparse_partition(board: Board) -> CellPartition:
 
     Odd n: the diagonal bands.  Even n: the bands of the (n+1)x(n+1) board
     with its last row and column deleted, which only clips them: no class
-    empties, and deletion preserves c-sparseness.  One pass sorts each cell
-    into its band.  floor(n/2)+1 classes is the optimum.
+    empties, and deletion preserves c-sparseness.  One pass ORs each cell's
+    bit into its band's mask.  floor(n/2)+1 classes is the optimum.
     """
     _require_square(board)
     n = board.n
     if n > _MAX_PARTITION_SIDE:
         raise ValueError(f"{n}x{n} board exceeds the construction's side cap of {_MAX_PARTITION_SIDE}")
-    bands: list[list[Cell]] = [[] for _ in range(n // 2 + 1)]
-    for cell in board.cells():
-        bands[_band_index(cell, n)].append(cell)
-    return CellPartition(board, [CellSet(board, band) for band in bands])
+    bands = [0] * (n // 2 + 1)
+    for bit, cell in enumerate(board._cell_tuple()):
+        bands[_band_index(cell, n)] |= 1 << bit
+    return CellPartition(board, [CellSet._from_mask(board, band) for band in bands])
 
 
 def _check_bruteforce_size(board: Board) -> None:
@@ -244,21 +278,20 @@ def _check_bruteforce_size(board: Board) -> None:
         )
 
 
-def _extends_c_sparse(chosen: list[Cell], cell: Cell) -> bool:
+def _extends_c_sparse(chosen: int, same: int, bit: int, m: int) -> bool:
     # The new cell is the set's maximum, so it may join its column only
     # directly after that column's last member: the previous maximum.
-    return not chosen or chosen[-1].col == cell.col or all(x.col != cell.col for x in chosen)
+    return not same or same.bit_length() == chosen.bit_length()
 
 
-def _extends_weak_c_sparse(chosen: list[Cell], cell: Cell) -> bool:
-    # Rows arrive non-decreasing, so the column's first member has its
-    # minimum row; an unused column gives the empty interval (row, row).
-    row, col = cell
-    lo = next((r for r, c in chosen if c == col), row)
-    return all(c == col or not lo < r < row for r, c in chosen)
+def _extends_weak_c_sparse(chosen: int, same: int, bit: int, m: int) -> bool:
+    # Rows arrive non-decreasing, so the column's lowest bit has its minimum
+    # row; no other member may sit in a row strictly between that and the cell's.
+    return not same or not (chosen ^ same) & (1 << bit // m * m) - (1 << ((same & -same).bit_length() - 1) // m * m + m)
 
 
-# Per mode, whether a cell extends a feasible set whose members all precede it.
+# Per mode, whether the cell at `bit` extends a feasible set `chosen` whose
+# members all precede it; `same` is the part of chosen in the cell's column.
 _STEP_TESTS = {C_SPARSE: _extends_c_sparse, WEAK_C_SPARSE: _extends_weak_c_sparse}
 
 
@@ -275,27 +308,23 @@ def bruteforce_max_sparse(board: Board, mode: str = C_SPARSE) -> tuple[int, Cell
     if extends is None:
         raise ValueError(f"unknown sparsity mode {mode!r}; expected one of {tuple(_STEP_TESTS)}")
     _check_bruteforce_size(board)
-    cells = list(board.cells())
-    total = len(cells)
-    best: list[Cell] = []
-    chosen: list[Cell] = []
+    total, m = board.cell_count, board.m
+    column = _first_column(board)
+    best = 0
 
-    def extend(idx: int) -> None:
+    def extend(bit: int, chosen: int) -> None:
         nonlocal best
-        if len(chosen) + (total - idx) <= len(best):
+        if chosen.bit_count() + total - bit <= best.bit_count():
             return
-        if idx == total:
-            best = chosen[:]
+        if bit == total:
+            best = chosen
             return
-        cell = cells[idx]
-        if extends(chosen, cell):
-            chosen.append(cell)
-            extend(idx + 1)
-            chosen.pop()
-        extend(idx + 1)
+        if extends(chosen, chosen & column << bit % m, bit, m):
+            extend(bit + 1, chosen | 1 << bit)
+        extend(bit + 1, chosen)
 
-    extend(0)
-    return len(best), CellSet(board, best)
+    extend(0, 0)
+    return best.bit_count(), CellSet._from_mask(board, best)
 
 
 def bruteforce_min_partition(board: Board) -> tuple[int, CellPartition]:

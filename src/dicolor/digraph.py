@@ -15,7 +15,7 @@ from collections.abc import Set
 from itertools import chain, compress, count, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .board import Board, Cell
+from .board import Board, Cell, _bit_flags, _bits
 
 # Documents may not declare more vertices than this: per-vertex storage is
 # allocated up front, and T_19, the largest board tournament the generators
@@ -23,19 +23,6 @@ from .board import Board, Cell
 # on a sparse input: a path at this cap parses in about 0.1 s and raises peak
 # RSS from 18 to 75 MB (Python 3.11.7), and a 100,000-vertex path took 1.4 GB.
 _MAX_JSON_VERTICES = 20_000
-
-_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_flags(mask: int) -> bytes:
-    """One byte per bit of a non-negative mask, lowest bit first: 1 if set, else 0."""
-    return bin(mask)[:1:-1].encode().translate(_ZERO_ONE)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of a mask's set bits, in increasing order."""
-    return compress(count(), _bit_flags(mask))
-
 
 class Digraph:
     """Immutable oriented graph.
@@ -148,6 +135,12 @@ class _ArcView(Set):
     def __len__(self) -> int:
         return sum(map(int.bit_count, self._out_mask))
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ArcView):  # equal relations differ at most in trailing empty rows
+            short, long = sorted((self._out_mask, other._out_mask), key=len)
+            return long[: len(short)] == short and not any(long[len(short) :])
+        return Set.__eq__(self, other)
+
     @classmethod
     def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
         return frozenset(it)
@@ -201,9 +194,13 @@ def find_directed_triangle(
     members = _member_mask(g, within)
     out_mask, in_mask = g.out_mask, g.in_mask
     # For adjacent members a < b, the lowest later member c closing a triangle
-    # with them; the first pair that has one gives the first triple.
+    # with them; the first pair that has one gives the first triple.  The b
+    # are usually few, so they are peeled off lowest bit first.
     for a in _bits(members):
-        for b in _bits((out_mask[a] | in_mask[a]) & members >> a + 1 << a + 1):
+        rest = (out_mask[a] | in_mask[a]) & members >> a + 1 << a + 1
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             later = members >> b + 1 << b + 1
             if out_mask[a] >> b & 1:
                 closing = out_mask[b] & in_mask[a] & later

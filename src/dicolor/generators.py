@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .board import Board, Cell, CellSet
+from .board import Board, Cell, CellSet, _first_column
 from .digraph import Digraph
 
 
@@ -36,7 +36,7 @@ def _board_digraph(n: int, m: int, across_rows_only: bool) -> Digraph:
     cells = list(board.cells())
     full = (1 << len(cells)) - 1
     first_row = (1 << m) - 1
-    first_column = full // first_row  # bit (i-1)*m for every row i
+    first_column = _first_column(board)
     out_mask = []
     in_mask = []
     for v, (i, j) in enumerate(cells):
@@ -98,10 +98,12 @@ def cell_set_of(g: Digraph, vertices: Iterable[int]) -> CellSet:
         raise ValueError("digraph carries no cell labels")
     if g.board is None:
         raise ValueError("labels do not cover a full board")
-    vs = list(vertices)
-    outside = [v for v in vs if not 0 <= v < g.vertex_count]
-    if outside:
-        raise ValueError(f"vertex {outside[0]} outside 0..{g.vertex_count - 1}")
     # Digraph normalized every label to Cell(int, int) and set board only
     # because every label lies on it, so the cells need no second check.
-    return CellSet._unchecked(g.board, frozenset(g.labels[v] for v in vs))
+    n, m, mask = g.vertex_count, g.board.m, 0
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        row, col = g.labels[v]
+        mask |= 1 << (row - 1) * m + col - 1
+    return CellSet._from_mask(g.board, mask)

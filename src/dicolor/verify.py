@@ -17,6 +17,7 @@ from .board import (
     MAX_BRUTEFORCE_CELLS,
     Board,
     CellSet,
+    _bits,
     bruteforce_max_sparse,
     bruteforce_min_partition,
     is_c_sparse,
@@ -63,13 +64,6 @@ def _small_boards(max_cells: int) -> list[Board]:
     ]
 
 
-def _subsets(items):
-    """Every subset of items, as a list in item order, by increasing bitmask."""
-    items = list(items)
-    for mask in range(1 << len(items)):
-        yield [x for i, x in enumerate(items) if mask >> i & 1]
-
-
 def suite_order() -> list[Claim]:
     claims = []
 
@@ -83,7 +77,7 @@ def suite_order() -> list[Claim]:
 
     implication = antitone = True
     for board in _small_boards(9):
-        sets = [CellSet(board, sub) for sub in _subsets(board.cells())]
+        sets = [CellSet._from_mask(board, mask) for mask in range(1 << board.cell_count)]
         c = [is_c_sparse(s) for s in sets]
         w = [is_weak_c_sparse(s) for s in sets]
         # Sets are listed by increasing mask, so mask ^ bit drops one member.
@@ -128,13 +122,11 @@ def suite_diagonals(max_n: int = 15) -> list[Claim]:
         board = Board(n, n)
         bands = optimal_c_sparse_partition(board).classes
         sparse = all(is_c_sparse(b) for b in bands)
-        covered = set()
-        disjoint = True
+        covered = 0
         for band in bands:
-            if covered & band.cells:
-                disjoint = False
-            covered |= band.cells
-        cover = covered == set(board.cells())
+            covered |= band.mask
+        disjoint = sum(map(len, bands)) == covered.bit_count()
+        cover = covered == (1 << board.cell_count) - 1
         claims.append(
             Claim(
                 f"diagonals/n={n:02d}",
@@ -196,7 +188,7 @@ def suite_tk(max_k: int = 3) -> list[Claim]:
 
 def suite_equivalence(seed: int = 0) -> list[Claim]:
     g2 = build_tournament(2)
-    mismatches = sum(1 for vs in _subsets(range(9)) if is_acyclic(g2, vs) != is_c_sparse(cell_set_of(g2, vs)))
+    mismatches = sum(is_acyclic(g2, _bits(mask)) != is_c_sparse(cell_set_of(g2, _bits(mask))) for mask in range(512))
     claims = [
         Claim(
             "equivalence/t2-exhaustive",
@@ -230,9 +222,9 @@ def suite_npartite(case: tuple[int, int] | None = None) -> list[Claim]:
     for n in range(1, 4):
         for m in range(1, 4):
             g = build_npartite(n, m)
-            for members in _subsets(range(g.vertex_count)):
-                if find_directed_triangle(g, members) is None:
-                    if not is_weak_c_sparse(cell_set_of(g, members)):
+            for members in range(1 << g.vertex_count):
+                if find_directed_triangle(g, _bits(members)) is None:
+                    if not is_weak_c_sparse(cell_set_of(g, _bits(members))):
                         observation_ok = False
     claims.append(
         Claim(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,14 @@ from oracles import (
 )
 
 cells_st = st.builds(Cell, st.integers(1, 6), st.integers(1, 6))
+
+
+@st.composite
+def board_cell_sets(draw, min_size=0):
+    """A 5x5, 7x7 or 3x7 board and up to 12 of its cells: several middle rows, m up to 7."""
+    board = draw(st.sampled_from([Board(5, 5), Board(7, 7), Board(3, 7)]))
+    cells = st.builds(Cell, st.integers(1, board.n), st.integers(1, board.m))
+    return board, draw(st.frozensets(cells, min_size=min_size, max_size=12))
 
 
 def small_boards(max_cells):
@@ -85,15 +95,15 @@ class TestPredicates:
                 assert is_c_sparse(s) == c_sparse_by_definition(s)
                 assert is_weak_c_sparse(s) == weak_c_sparse_by_definition(s)
 
-    @given(st.frozensets(st.builds(Cell, st.integers(1, 5), st.integers(1, 5)), max_size=12))
-    def test_c_sparse_implies_weak(self, cells):
-        s = CellSet(Board(5, 5), cells)
+    @given(board_cell_sets())
+    def test_c_sparse_implies_weak(self, case):
+        s = CellSet(*case)
         if is_c_sparse(s):
             assert is_weak_c_sparse(s)
 
-    @given(st.frozensets(st.builds(Cell, st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=12))
-    def test_predicates_antitone_under_deletion(self, cells):
-        board = Board(5, 5)
+    @given(board_cell_sets(min_size=1))
+    def test_predicates_antitone_under_deletion(self, case):
+        board, cells = case
         s = CellSet(board, cells)
         for dropped in cells:
             smaller = CellSet(board, cells - {dropped})
@@ -101,6 +111,49 @@ class TestPredicates:
                 assert is_c_sparse(smaller)
             if is_weak_c_sparse(s):
                 assert is_weak_c_sparse(smaller)
+
+    @given(board_cell_sets())
+    def test_matches_definition_on_larger_boards(self, case):
+        s = CellSet(*case)
+        assert is_c_sparse(s) == c_sparse_by_definition(s)
+        assert is_weak_c_sparse(s) == weak_c_sparse_by_definition(s)
+
+
+class TestMaskCellSet:
+    """A cell set is its board and one row-major mask: cell (r, c) is bit (r-1)*m + (c-1)."""
+
+    def test_from_mask_equals_the_validating_constructor(self):
+        for board in small_boards(9):
+            listed = list(board.cells())
+            for mask in range(1 << board.cell_count):
+                cells = [cell for i, cell in enumerate(listed) if mask >> i & 1]
+                fast, slow = CellSet._from_mask(board, mask), CellSet(board, cells[::-1])
+                assert fast == slow and hash(fast) == hash(slow) and slow.mask == mask
+                assert list(fast) == list(slow) == cells
+                assert len(fast) == len(slow) == len(cells)
+                assert fast.cells == slow.cells == frozenset(cells)
+                assert all(type(cell) is Cell for cell in fast.cells)
+                assert [cell in fast for cell in listed] == [mask >> i & 1 == 1 for i in range(len(listed))]
+
+    def test_differs_by_board_or_mask(self):
+        s = CellSet(Board(2, 3), [(1, 1), (2, 3)])
+        same_mask = CellSet(Board(3, 2), [(1, 1), (3, 2)])
+        assert s.mask == same_mask.mask == 0b100001 and s != same_mask
+        assert s != CellSet(Board(2, 3), [(1, 1)])
+        assert s == CellSet(Board(2, 3), [(2, 3), (1, 1), (1, 1)])
+
+    def test_malformed_probes_are_not_members(self):
+        board = Board(3, 3)
+        full = CellSet(board, board.cells())
+        for probe in ((1,), "ab", (0, 1), (1.5, 1), (1, 4), (4, 1), (1, 1, 1), 7, None):
+            assert probe not in full
+        assert (1, 1) in full and Cell(3, 3) in full and [2, 2] in full
+
+    def test_is_immutable(self):
+        s = CellSet(Board(2, 2), [(1, 1)])
+        for name in ("board", "mask", "cells"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
 
 
 class TestDiagonals:
@@ -346,9 +399,11 @@ class TestConstruction:
         a = CellSet(board, [(1, 1)])
         b = CellSet(board, [(2, 1)])
         CellPartition(board, [a, b])
-        with pytest.raises(ValueError):
-            CellPartition(board, [a])  # does not cover
-        with pytest.raises(ValueError):
-            CellPartition(board, [a, a, b])  # overlap
-        with pytest.raises(ValueError):
-            CellPartition(board, [a, CellSet(board, []), b])  # empty class
+        for classes, message in (
+            ([a], "partition classes must cover every cell of the board"),
+            ([a, a, b], "partition classes must be pairwise disjoint"),
+            ([a, CellSet(board, []), b], "partition classes must be non-empty"),
+            ([a, CellSet(Board(1, 2), [(1, 2)])], "partition class lives on a different board"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CellPartition(board, classes)

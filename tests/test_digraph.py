@@ -125,6 +125,33 @@ class TestArcView:
             hash(arcs)
         assert not hasattr(arcs, "add") and not hasattr(arcs, "discard")
 
+    def test_views_compare_as_sets_whatever_the_vertex_count(self):
+        small, padded = Digraph(3, [(0, 1), (2, 1)]), Digraph(5, [(2, 1), (0, 1)])
+        assert small.arcs == padded.arcs and padded.arcs == small.arcs
+        assert not small.arcs != padded.arcs and not padded.arcs != small.arcs
+        assert Digraph(0, []).arcs == Digraph(4, []).arcs == frozenset()
+        for other in (Digraph(3, [(0, 1), (1, 2)]), Digraph(3, [(0, 1)]), Digraph(5, [(0, 1), (2, 1), (4, 3)])):
+            assert small.arcs != other.arcs and other.arcs != small.arcs
+            assert not small.arcs == other.arcs and not other.arcs == small.arcs
+        expected = frozenset({(0, 1), (2, 1)})
+        for view in (small.arcs, padded.arcs):
+            assert view == expected and expected == view
+            assert not view != expected and not expected != view
+            assert view != frozenset({(0, 1)}) and frozenset({(0, 1)}) != view
+            assert view != {(0, 1), (2, 1), (1, 0)} and view != [(0, 1), (2, 1)]
+
+    def test_comparing_two_views_reads_only_the_masks(self, monkeypatch):
+        a, b = build_tournament(19), build_tournament(19)
+        view = type(a.arcs)
+
+        def refuse(*args):
+            raise AssertionError("the views were compared arc by arc")
+
+        monkeypatch.setattr(view, "__iter__", refuse)
+        monkeypatch.setattr(view, "__contains__", refuse)
+        assert a.arcs == b.arcs and not a.arcs != b.arcs
+        assert a.arcs != build_tournament(18).arcs
+
     def test_reading_the_largest_tournament_builds_no_arc_set(self):
         g = build_tournament(19)
         tracemalloc.start()
@@ -236,6 +263,14 @@ class TestTriangleSearch:
             members = [v for v in range(g.vertex_count) if rng.random() < 0.7]
             assert find_directed_triangle(g) == first_triangle_by_scan(g)
             assert find_directed_triangle(g, members[::-1]) == first_triangle_by_scan(g, members)
+
+    def test_matches_the_scan_on_every_npartite_subset(self):
+        for n in range(1, 4):
+            for m in range(1, 4):
+                g = build_npartite(n, m)
+                for mask in range(1 << g.vertex_count):
+                    members = [v for v in range(g.vertex_count) if mask >> v & 1]
+                    assert find_directed_triangle(g, members) == first_triangle_by_scan(g, members), (n, m, mask)
 
 
 class TestInduced:

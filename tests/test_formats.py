@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -35,6 +36,16 @@ class TestPartitionJson:
         doc = partition_to_json(p)
         assert doc["n"] == 3 and doc["m"] == 3
         assert all(isinstance(pair, list) and len(pair) == 2 for part in doc["classes"] for pair in part)
+
+    def test_json_and_svg_pinned_for_sides_1_to_15(self):
+        # SHA-256 of the output when cell sets were frozensets of cells, so
+        # any change to class order, cell order or rendering shows here.
+        digest = hashlib.sha256()
+        for n in range(1, 16):
+            p = optimal_c_sparse_partition(Board(n, n))
+            digest.update(json.dumps(partition_to_json(p), sort_keys=True).encode())
+            digest.update(partition_to_svg(p).encode())
+        assert digest.hexdigest() == "2ceef830d3b0781da8443aa8f318c2e3ce12fe9aace69c2c6849cd5eb5c2f2c6"
 
     def test_partition_parse_validates(self):
         with pytest.raises(ValueError):
