@@ -58,23 +58,21 @@ class Board:
     m: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"board dimensions must be >= 1, got {self.n}x{self.m}")
+        n, m = operator.index(self.n), operator.index(self.m)
+        if n < 1 or m < 1:
+            raise ValueError(f"board dimensions must be >= 1, got {n}x{m}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     @property
     def cell_count(self) -> int:
         return self.n * self.m
 
-    def cells(self) -> Iterator[Cell]:
-        """All cells in row-major order."""
-        for i in range(1, self.n + 1):
-            for j in range(1, self.m + 1):
-                yield Cell(i, j)
-
-    def _cell_tuple(self) -> tuple[Cell, ...]:
-        """All cells in row-major order, listed once per board: entry i is bit i."""
+    def cells(self) -> tuple[Cell, ...]:
+        """All cells in row-major order, listed once per board: entry i is bit i of a cell mask."""
         if "_cells" not in self.__dict__:
-            object.__setattr__(self, "_cells", tuple(self.cells()))
+            cells = tuple(Cell(i, j) for i in range(1, self.n + 1) for j in range(1, self.m + 1))
+            object.__setattr__(self, "_cells", cells)
         return self.__dict__["_cells"]
 
     def __contains__(self, cell) -> bool:
@@ -126,7 +124,7 @@ class CellSet:
         return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[Cell]:
-        return compress(self.board._cell_tuple(), _bit_flags(self.mask))
+        return compress(self.board.cells(), _bit_flags(self.mask))
 
     def __contains__(self, cell: object) -> bool:
         try:
@@ -216,6 +214,7 @@ def diagonal_band(board: Board, k: int) -> CellSet:
     The band is the union of the diagonals with offsets 2k, 2k+1, 2k-n and
     2k-n-1, i.e. a two-diagonal stripe plus its wrap-around companion.  Each
     band is c-sparse, and the bands for k = 0..(n-1)/2 partition the board.
+    It is class k of `optimal_c_sparse_partition`, whose side cap it shares.
     """
     _require_square(board)
     n = board.n
@@ -223,7 +222,7 @@ def diagonal_band(board: Board, k: int) -> CellSet:
         raise ValueError(f"diagonal bands are defined for odd side lengths, got n={n}")
     if not 0 <= k <= (n - 1) // 2:
         raise ValueError(f"band index {k} outside 0..{(n - 1) // 2}")
-    return CellSet(board, (cell for cell in board.cells() if _band_index(cell, n) == k))
+    return optimal_c_sparse_partition(board).classes[k]
 
 
 def restrict(s: CellSet, keep_rows: Iterable[int], keep_cols: Iterable[int]) -> CellSet:
@@ -246,9 +245,11 @@ def restrict(s: CellSet, keep_rows: Iterable[int], keep_cols: Iterable[int]) -> 
     return CellSet(sub, kept)
 
 
-# Largest side the construction accepts; larger boards are refused before any
-# cell is listed.  Side 500 takes about 6 s and 165 MB through the CLI with
-# --svg, and exceeds the side (316) of any square board in the JSON vertex cap.
+# Largest side the construction accepts; larger boards, and partition
+# documents naming more cells than its square, are refused before any cell is
+# listed or any cell mask built.  Side 500 takes about 6 s and 165 MB through
+# the CLI with --svg, and exceeds the side (316) of any square board in the
+# JSON vertex cap.
 _MAX_PARTITION_SIDE = 500
 
 
@@ -265,7 +266,7 @@ def optimal_c_sparse_partition(board: Board) -> CellPartition:
     if n > _MAX_PARTITION_SIDE:
         raise ValueError(f"{n}x{n} board exceeds the construction's side cap of {_MAX_PARTITION_SIDE}")
     bands = [0] * (n // 2 + 1)
-    for bit, cell in enumerate(board._cell_tuple()):
+    for bit, cell in enumerate(board.cells()):
         bands[_band_index(cell, n)] |= 1 << bit
     return CellPartition(board, [CellSet._from_mask(board, band) for band in bands])
 
@@ -366,7 +367,9 @@ def partition_from_json(doc: dict) -> CellPartition:
         # operator.index reads JSON true/false as 1/0; one type scan refuses them.
         if bool in map(type, chain((doc["n"], doc["m"]), chain.from_iterable(chain.from_iterable(classes)))):
             raise TypeError("booleans are not integers")
-        board = Board(operator.index(doc["n"]), operator.index(doc["m"]))
+        board = Board(doc["n"], doc["m"])
+        if board.cell_count > _MAX_PARTITION_SIDE**2:
+            raise ValueError(f"{board.n}x{board.m} board exceeds the {_MAX_PARTITION_SIDE**2}-cell partition cap")
         return CellPartition(board, [CellSet(board, part) for part in classes])
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed cell document: {exc}") from exc

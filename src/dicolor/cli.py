@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a digraph JSON file exactly")
     solve.add_argument("input")
     solve.add_argument("--constraint", choices=["acyclic", "triangle-free"], default="acyclic")
-    solve.add_argument("--max-nodes", type=int, default=10**8)
-    solve.add_argument("--max-seconds", type=float, default=60.0)
+    solve.add_argument("--max-nodes", type=int, default=SolveLimits.max_nodes)
+    solve.add_argument("--max-seconds", type=float, default=SolveLimits.max_seconds)
     solve.set_defaults(func=cmd_solve)
 
     part = sub.add_parser("partition", help="construct or brute-force a minimum c-sparse partition")

@@ -250,6 +250,8 @@ def digraph_from_json(doc: dict) -> Digraph:
         if n > _MAX_JSON_VERTICES:
             raise ValueError(f"{n} vertices exceeds the {_MAX_JSON_VERTICES}-vertex input cap")
         raw_labels = doc.get("labels")
+        if raw_labels is not None and len(raw_labels) != n:
+            raise ValueError(f"expected {n} labels, got {len(raw_labels)}")
         labels = None if raw_labels is None else [raw_labels[str(v)] for v in range(n)]
         arcs = doc["arcs"]
         # operator.index reads JSON true/false as 1/0; one type scan refuses them.

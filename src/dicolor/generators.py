@@ -33,7 +33,7 @@ def _board_digraph(n: int, m: int, across_rows_only: bool) -> Digraph:
     pairs = board.cell_count * (board.cell_count - 1) // 2
     if pairs > _MAX_CELL_PAIRS:
         raise ValueError(f"{n}x{m} board has {pairs} cell pairs; generation is capped at {_MAX_CELL_PAIRS}")
-    cells = list(board.cells())
+    cells = board.cells()
     full = (1 << len(cells)) - 1
     first_row = (1 << m) - 1
     first_column = _first_column(board)

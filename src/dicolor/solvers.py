@@ -117,12 +117,6 @@ class _Budget:
             raise _LimitHit
 
 
-def _class_feasible(g: Digraph, constraint: str, members: list[int]) -> bool:
-    if constraint == TRIANGLE_FREE:
-        return find_directed_triangle(g, members) is None
-    return is_acyclic(g, members)
-
-
 def _check_constraint(constraint: str) -> None:
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}; expected one of {CONSTRAINTS}")
@@ -136,24 +130,13 @@ def verify_coloring(g: Digraph, coloring: Coloring, constraint: str) -> bool:
     _check_constraint(constraint)
     if len(coloring.color_of) != g.vertex_count:
         raise ValueError("coloring shape does not match the digraph")
-    return all(
-        _class_feasible(g, constraint, members) for members in coloring.color_classes()
-    )
+    classes = coloring.color_classes()
+    if constraint == TRIANGLE_FREE:
+        return not any(find_directed_triangle(g, members) for members in classes)
+    return all(is_acyclic(g, members) for members in classes)
 
 
-def _search_input(g: Digraph, constraint: str) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """The digraph's arc bitmasks and whether a class fails exactly when it
-    gains a directed triangle.
-
-    That holds for the triangle-free constraint and, because a class of a
-    tournament is acyclic iff it has no directed triangle, for tournaments.
-    """
-    return g.out_mask, g.in_mask, constraint == TRIANGLE_FREE or is_tournament(g)
-
-
-def _search(
-    t: int, out_mask: tuple[int, ...], in_mask: tuple[int, ...], triangle: bool, budget: _Budget
-) -> list[int] | None:
+def _search(g: Digraph, constraint: str, t: int, budget: _Budget) -> list[int] | None:
     """First assignment of at most t feasible classes, or None when there is none.
 
     Backtracking on an explicit stack in saturation order (DSATUR, Brelaz
@@ -181,7 +164,8 @@ def _search(
     vertices its class's danger gained, and a top-down scan of the planes
     over the unassigned vertices finds the largest count.
     """
-    n = len(out_mask)
+    out_mask, in_mask, n = g.out_mask, g.in_mask, g.vertex_count
+    triangle = constraint == TRIANGLE_FREE or is_tournament(g)
     member = [0] * t
     danger = [0] * t
     assign = [0] * n
@@ -298,7 +282,7 @@ def greedy_upper_bound(g: Digraph, constraint: str) -> Coloring:
     """
     _check_constraint(constraint)
     budget = _Budget(SolveLimits(max_nodes=g.vertex_count + 1, max_seconds=math.inf))
-    return _coloring(g, _search(g.vertex_count, *_search_input(g, constraint), budget))
+    return _coloring(g, _search(g, constraint, g.vertex_count, budget))
 
 
 def _band_coloring(g: Digraph) -> Coloring | None:
@@ -319,17 +303,16 @@ def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResu
         return SolveResult(OPTIMAL, 0, Coloring(g, (), 0), 0, time.perf_counter() - start)
 
     budget = _Budget(limits)
-    state = _search_input(g, constraint)
     t = 1  # the only bound proven if the budget runs out during greedy
     try:
-        upper = _coloring(g, _search(n, *state, budget))
+        upper = _coloring(g, _search(g, constraint, n, budget))
         band = _band_coloring(g)
         if band is not None and band.num_colors < upper.num_colors and verify_coloring(g, band, constraint):
             upper = band
         for t in range(1, upper.num_colors):
-            assignment = _search(t, *state, budget)
+            assignment = _search(g, constraint, t, budget)
             if assignment is not None:
-                upper = Coloring(g, tuple(assignment), t)
+                upper = _coloring(g, assignment)
                 break
     except _LimitHit:
         return SolveResult(ABORTED_AT_LIMIT, t, None, budget.nodes, time.perf_counter() - start)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .board import (
     MAX_BRUTEFORCE_CELLS,
@@ -67,7 +68,7 @@ def _small_boards(max_cells: int) -> list[Board]:
 def suite_order() -> list[Claim]:
     claims = []
 
-    cells = list(Board(4, 4).cells())
+    cells = Board(4, 4).cells()
     total_order = all((a < b) + (a == b) + (b < a) == 1 for a in cells for b in cells) and all(
         a < c for a in cells for b in cells for c in cells if a < b < c
     )
@@ -186,9 +187,14 @@ def suite_tk(max_k: int = 3) -> list[Claim]:
     return claims
 
 
+def _equivalence_mismatches(k: int, masks: Iterable[int]) -> int:
+    """How many vertex masks of T_k are acyclic but not c-sparse, or the reverse."""
+    g = build_tournament(k)
+    return sum(is_acyclic(g, _bits(mask)) != is_c_sparse(cell_set_of(g, _bits(mask))) for mask in masks)
+
+
 def suite_equivalence(seed: int = 0) -> list[Claim]:
-    g2 = build_tournament(2)
-    mismatches = sum(is_acyclic(g2, _bits(mask)) != is_c_sparse(cell_set_of(g2, _bits(mask))) for mask in range(512))
+    mismatches = _equivalence_mismatches(2, range(512))
     claims = [
         Claim(
             "equivalence/t2-exhaustive",
@@ -197,13 +203,8 @@ def suite_equivalence(seed: int = 0) -> list[Claim]:
             f"{mismatches} mismatches",
         )
     ]
-    g3 = build_tournament(3)
     rng = random.Random(seed)
-    bad = 0
-    for _ in range(_EQUIVALENCE_SAMPLES):
-        vs = [v for v in range(25) if rng.random() < 0.5]
-        if is_acyclic(g3, vs) != is_c_sparse(cell_set_of(g3, vs)):
-            bad += 1
+    bad = _equivalence_mismatches(3, (rng.getrandbits(25) for _ in range(_EQUIVALENCE_SAMPLES)))
     claims.append(
         Claim(
             "equivalence/t3-random",

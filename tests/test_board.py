@@ -203,6 +203,10 @@ class TestDiagonals:
                 seen |= band.cells
             assert seen == set(board.cells())
 
+    def test_band_side_over_the_construction_cap_is_refused(self):
+        with pytest.raises(ValueError, match="cap"):
+            diagonal_band(Board(501, 501), 0)
+
     def test_band_rejects_even_or_out_of_range(self):
         with pytest.raises(ValueError):
             diagonal_band(Board(4, 4), 0)
@@ -387,6 +391,15 @@ class TestConstruction:
             Board(0, 3)
         with pytest.raises(ValueError):
             Board(3, -1)
+        with pytest.raises(TypeError):
+            Board(2.5, 3)
+        with pytest.raises(TypeError):
+            optimal_c_sparse_partition(Board(2.5, 2.5))
+
+    def test_cells_are_listed_once_per_board(self):
+        board = Board(3, 4)
+        assert board.cells() is board.cells()
+        assert board.cells() == tuple(Cell(i, j) for i in range(1, 4) for j in range(1, 5))
 
     def test_cellset_bounds(self):
         with pytest.raises(ValueError):

@@ -230,6 +230,14 @@ class TestExportSvg:
         assert code == 2 and stdout == "" and stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_huge_board_refused_before_building_cell_sets(self, tmp_path, capsys):
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps({"n": 1_000_000, "m": 1_000_000, "classes": [[[1, 1]]]}))
+        out = tmp_path / "x.svg"
+        code, stdout, stderr = run(capsys, "export-svg", str(doc), "--out", str(out))
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1 and "cap" in stderr
+        assert not out.exists()
+
 
 class TestVerify:
     def test_sigma_small(self, capsys):

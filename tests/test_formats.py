@@ -89,6 +89,10 @@ class TestDigraphJson:
         with pytest.raises(ValueError):
             digraph_from_json({"vertices": 2, "arcs": [], "labels": {"0": [1, 1]}})
 
+    def test_label_keys_naming_no_vertex_rejected(self):
+        labels = {"0": [1, 1], "1": [1, 2], "7": [9, 9], "x": "junk"}
+        with pytest.raises(ValueError, match="expected 2 labels, got 4"):
+            digraph_from_json({"vertices": 2, "arcs": [[0, 1]], "labels": labels})
 
     def test_huge_vertex_count_rejected_before_allocating(self, monkeypatch):
         def no_digraph(*args, **kwargs):
