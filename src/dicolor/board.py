@@ -251,6 +251,10 @@ def restrict(s: CellSet, keep_rows: Iterable[int], keep_cols: Iterable[int]) -> 
 # the CLI with --svg, and exceeds the side (316) of any square board in the
 # JSON vertex cap.
 _MAX_PARTITION_SIDE = 500
+# Largest class count x cell count a partition document may name: `class_of`
+# and the SVG walk each class mask across the board, so a 200x200 board of
+# 40,000 one-cell classes took 12 s in `class_of`.  Side-500 bands fit.
+_MAX_PARTITION_BITS = 2**26
 
 
 def optimal_c_sparse_partition(board: Board) -> CellPartition:
@@ -370,6 +374,8 @@ def partition_from_json(doc: dict) -> CellPartition:
         board = Board(doc["n"], doc["m"])
         if board.cell_count > _MAX_PARTITION_SIDE**2:
             raise ValueError(f"{board.n}x{board.m} board exceeds the {_MAX_PARTITION_SIDE**2}-cell partition cap")
+        if len(classes) * board.cell_count > _MAX_PARTITION_BITS:
+            raise ValueError(f"{len(classes)} classes x {board.cell_count} cells exceeds the {_MAX_PARTITION_BITS} cap")
         return CellPartition(board, [CellSet(board, part) for part in classes])
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed cell document: {exc}") from exc

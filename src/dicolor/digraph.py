@@ -165,7 +165,11 @@ def is_acyclic(g: Digraph, within: Iterable[int] | None = None) -> bool:
     With `within`, the test applies to the sub-digraph induced by that
     vertex set.
     """
-    rest = _member_mask(g, within)
+    return _acyclic_mask(g, _member_mask(g, within))
+
+
+def _acyclic_mask(g: Digraph, rest: int) -> bool:
+    """`is_acyclic` on the members of a vertex mask the caller knows lies within g."""
     out_mask, in_mask = g.out_mask, g.in_mask
     # Kahn's sort: a member joins the stack once no predecessor is left in
     # rest, so each member is pushed at most once.
@@ -191,7 +195,11 @@ def find_directed_triangle(
     Candidates are scanned in lexicographic vertex order, so the result is
     deterministic.
     """
-    members = _member_mask(g, within)
+    return _triangle_mask(g, _member_mask(g, within))
+
+
+def _triangle_mask(g: Digraph, members: int) -> tuple[int, int, int] | None:
+    """`find_directed_triangle` on a vertex mask the caller knows lies within g."""
     out_mask, in_mask = g.out_mask, g.in_mask
     # For adjacent members a < b, the lowest later member c closing a triangle
     # with them; the first pair that has one gives the first triple.  The b

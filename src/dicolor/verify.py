@@ -18,15 +18,14 @@ from .board import (
     MAX_BRUTEFORCE_CELLS,
     Board,
     CellSet,
-    _bits,
     bruteforce_max_sparse,
     bruteforce_min_partition,
     is_c_sparse,
     is_weak_c_sparse,
     optimal_c_sparse_partition,
 )
-from .digraph import find_directed_triangle, is_acyclic
-from .generators import build_npartite, build_tournament, cell_set_of
+from .digraph import Digraph, _acyclic_mask, _triangle_mask
+from .generators import build_npartite, build_tournament
 from .solvers import (
     ACYCLIC,
     OPTIMAL,
@@ -187,51 +186,54 @@ def suite_tk(max_k: int = 3) -> list[Claim]:
     return claims
 
 
-def _equivalence_mismatches(k: int, masks: Iterable[int]) -> int:
-    """How many vertex masks of T_k are acyclic but not c-sparse, or the reverse."""
+# The suites below read a vertex mask as the cell mask of its labels, which
+# holds when vertex v labels cell bit v of the board, as the generators do.
+_NOT_CELL_ORDER = "vertex labels are not the board's cells in row-major order"
+
+
+def _in_cell_order(g: Digraph) -> bool:
+    return g.board is not None and g.labels == g.board.cells()
+
+
+def _equivalence_claim(claim_id: str, scope: str, k: int, masks: Iterable[int]) -> Claim:
+    """Whether no vertex mask of T_k is acyclic but not c-sparse, or the reverse."""
+    statement = f"acyclic induced subtournament <=> c-sparse cell set ({scope}, k={k})"
     g = build_tournament(k)
-    return sum(is_acyclic(g, _bits(mask)) != is_c_sparse(cell_set_of(g, _bits(mask))) for mask in masks)
+    if not _in_cell_order(g):
+        return Claim(claim_id, statement, False, _NOT_CELL_ORDER)
+    bad = sum(_acyclic_mask(g, mask) != is_c_sparse(CellSet._from_mask(g.board, mask)) for mask in masks)
+    return Claim(claim_id, statement, bad == 0, f"{bad} mismatches")
 
 
 def suite_equivalence(seed: int = 0) -> list[Claim]:
-    mismatches = _equivalence_mismatches(2, range(512))
-    claims = [
-        Claim(
-            "equivalence/t2-exhaustive",
-            "acyclic induced subtournament <=> c-sparse cell set (all 512 subsets, k=2)",
-            mismatches == 0,
-            f"{mismatches} mismatches",
-        )
-    ]
     rng = random.Random(seed)
-    bad = _equivalence_mismatches(3, (rng.getrandbits(25) for _ in range(_EQUIVALENCE_SAMPLES)))
-    claims.append(
-        Claim(
-            "equivalence/t3-random",
-            f"acyclic induced subtournament <=> c-sparse cell set ({_EQUIVALENCE_SAMPLES} seeded subsets, k=3)",
-            bad == 0,
-            f"{bad} mismatches",
-        )
-    )
-    return claims
+    samples = (rng.getrandbits(25) for _ in range(_EQUIVALENCE_SAMPLES))
+    return [
+        _equivalence_claim("equivalence/t2-exhaustive", "all 512 subsets", 2, range(512)),
+        _equivalence_claim("equivalence/t3-random", f"{_EQUIVALENCE_SAMPLES} seeded subsets", 3, samples),
+    ]
 
 
 def suite_npartite(case: tuple[int, int] | None = None) -> list[Claim]:
     claims = []
 
-    observation_ok = True
+    observation_ok, detail = True, ""
     for n in range(1, 4):
         for m in range(1, 4):
             g = build_npartite(n, m)
+            if not _in_cell_order(g):
+                observation_ok, detail = False, f"{n}x{m}: {_NOT_CELL_ORDER}"
+                continue
             for members in range(1 << g.vertex_count):
-                if find_directed_triangle(g, _bits(members)) is None:
-                    if not is_weak_c_sparse(cell_set_of(g, _bits(members))):
+                if _triangle_mask(g, members) is None:
+                    if not is_weak_c_sparse(CellSet._from_mask(g.board, members)):
                         observation_ok = False
     claims.append(
         Claim(
             "npartite/observation",
             "triangle-free induced sub-digraph => weak-c-sparse cells (n,m <= 3, exhaustive)",
             observation_ok,
+            detail,
         )
     )
 

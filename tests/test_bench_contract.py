@@ -8,6 +8,8 @@ workloads.py is parsed.
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import dicolor
@@ -47,3 +49,13 @@ def test_verify_all_prints_the_claims_the_benchmark_checks(capsys):
     spec.loader.exec_module(checks)
     code = main(["verify", "all", "--seed", "1"])
     assert checks.check_verify_all(code, capsys.readouterr().out) == []
+
+
+def test_importing_the_package_loads_neither_verify_nor_cli():
+    # Workloads that solve import only `dicolor`, and their setup_s times that import.
+    src = Path(dicolor.__file__).resolve().parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import dicolor; print(sorted(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    loaded = ast.literal_eval(result.stdout)
+    assert "dicolor.board" in loaded
+    assert "dicolor.verify" not in loaded and "dicolor.cli" not in loaded

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,26 @@ class TestExportSvg:
         doc.write_text(json.dumps({"n": 1_000_000, "m": 1_000_000, "classes": [[[1, 1]]]}))
         out = tmp_path / "x.svg"
         code, stdout, stderr = run(capsys, "export-svg", str(doc), "--out", str(out))
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1 and "cap" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("classes, message", [(269, "cap"), (268, "disjoint")])
+    def test_class_count_times_cells_is_capped(self, tmp_path, capsys, classes, message):
+        # 269 x 250,000 cells is past 2**26; 268 x 250,000 is under it.
+        doc = tmp_path / "many.json"
+        doc.write_text(json.dumps({"n": 500, "m": 500, "classes": [[[1, 1]]] * classes}))
+        out = tmp_path / "x.svg"
+        code, stdout, stderr = run(capsys, "export-svg", str(doc), "--out", str(out))
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1 and message in stderr
+        assert not out.exists()
+
+    def test_many_one_cell_classes_refused_quickly(self, tmp_path, capsys):
+        doc = tmp_path / "singletons.json"
+        doc.write_text(json.dumps({"n": 200, "m": 200, "classes": [[[i, j]] for i in range(1, 201) for j in range(1, 201)]}))
+        out = tmp_path / "x.svg"
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "export-svg", str(doc), "--out", str(out))
+        assert time.perf_counter() - start < 1.0
         assert code == 2 and stdout == "" and stderr.count("\n") == 1 and "cap" in stderr
         assert not out.exists()
 

@@ -17,6 +17,8 @@ from dicolor import (
     is_acyclic,
     is_tournament,
 )
+from dicolor.board import _bits
+from dicolor.digraph import _acyclic_mask, _triangle_mask
 from oracles import first_triangle_by_scan, has_directed_cycle_by_subsets, random_digraph, random_tournament
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -271,6 +273,39 @@ class TestTriangleSearch:
                 for mask in range(1 << g.vertex_count):
                     members = [v for v in range(g.vertex_count) if mask >> v & 1]
                     assert find_directed_triangle(g, members) == first_triangle_by_scan(g, members), (n, m, mask)
+
+
+def assert_mask_entries_agree(g, mask):
+    members = list(_bits(mask))
+    assert _acyclic_mask(g, mask) == is_acyclic(g, members), mask
+    assert _triangle_mask(g, mask) == find_directed_triangle(g, members), mask
+
+
+class TestMaskEntries:
+    """The private mask entries give what the validating public entries give."""
+
+    def test_seeded_masks_of_t3(self):
+        g = build_tournament(3)
+        rng = random.Random(23)
+        for _ in range(2_000):
+            assert_mask_entries_agree(g, rng.getrandbits(g.vertex_count))
+
+    def test_every_mask_of_the_3x3_npartite_graph(self):
+        g = build_npartite(3, 3)
+        for mask in range(1 << g.vertex_count):
+            assert_mask_entries_agree(g, mask)
+
+    def test_seeded_random_oriented_non_tournaments(self):
+        rng = random.Random(29)
+        cyclic_but_triangle_free = 0
+        for _ in range(300):
+            g = random_digraph(rng, rng.randint(0, 12), rng.random())
+            for _ in range(10):
+                mask = rng.getrandbits(g.vertex_count)
+                assert_mask_entries_agree(g, mask)
+                cyclic_but_triangle_free += not _acyclic_mask(g, mask) and _triangle_mask(g, mask) is None
+        # Acyclic and triangle-free part only here, so the inputs must reach such sets.
+        assert cyclic_but_triangle_free > 0
 
 
 class TestInduced:

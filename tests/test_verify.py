@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from dicolor import verify
+from dicolor import Digraph, build_npartite, build_tournament, cell_set_of, is_acyclic, is_c_sparse, verify
 from dicolor.solvers import ABORTED_AT_LIMIT, SolveResult
 from dicolor.verify import run_suites
 
@@ -87,3 +89,58 @@ def test_aborted_solve_can_refute_or_settle_a_claim(monkeypatch):
     verdicts = {c.claim_id: c.passed for c in claims}
     # chi(T_1) >= 2 refutes chi(T_1) = 1; chi >= 2 settles the 3x2 bound ceil(6/5) = 2
     assert verdicts == {"tk/k=1": False, "tk/k=2": None, "npartite/bound-3x2": True, "npartite/observation": True}
+
+
+def t2_with_one_arc_flipped(k):
+    """T_2 with its arc 1 -> 0 turned into 0 -> 1, labels kept; other k as generated."""
+    g = build_tournament(k)
+    if k != 2:
+        return g
+    return Digraph(g.vertex_count, [(0, 1) if arc == (1, 0) else arc for arc in g.arcs], g.labels)
+
+
+def with_shuffled_labels(build):
+    """A generator whose digraphs keep their arcs but label their vertices in a shuffled order."""
+
+    def shuffled(*args):
+        g = build(*args)
+        labels = list(g.labels)
+        random.Random(repr(args)).shuffle(labels)
+        return Digraph(g.vertex_count, g.arcs, labels)
+
+    return shuffled
+
+
+def test_equivalence_fails_on_a_tournament_with_one_arc_flipped(monkeypatch):
+    mutant = t2_with_one_arc_flipped(2)
+    # {0, 1, 3} was a directed triangle; flipped, it is acyclic, yet its cells
+    # (1,1), (1,2), (2,1) put column 2 between the two cells of column 1.
+    assert is_acyclic(mutant, [0, 1, 3]) and not is_c_sparse(cell_set_of(mutant, [0, 1, 3]))
+    monkeypatch.setattr(verify, "build_tournament", t2_with_one_arc_flipped)
+    claims = {c.claim_id: c for c in verify.suite_equivalence()}
+    t2 = claims["equivalence/t2-exhaustive"]
+    assert t2.passed is False
+    assert int(t2.detail.split()[0]) > 0
+    assert claims["equivalence/t3-random"].passed
+
+
+def test_equivalence_fails_on_tournaments_with_shuffled_labels(monkeypatch):
+    monkeypatch.setattr(verify, "build_tournament", with_shuffled_labels(build_tournament))
+    claims = verify.suite_equivalence()
+    assert [c.claim_id for c in claims] == ["equivalence/t2-exhaustive", "equivalence/t3-random"]
+    assert all(c.passed is False for c in claims)
+
+
+def test_observation_fails_on_npartite_graphs_with_shuffled_labels(monkeypatch):
+    monkeypatch.setattr(verify, "build_npartite", with_shuffled_labels(build_npartite))
+    claims = {c.claim_id: c for c in verify.suite_npartite((3, 2))}
+    assert claims["npartite/observation"].passed is False
+
+
+def test_a_digraph_out_of_cell_order_fails_with_the_reason(monkeypatch):
+    monkeypatch.setattr(verify, "build_tournament", with_shuffled_labels(build_tournament))
+    monkeypatch.setattr(verify, "build_npartite", with_shuffled_labels(build_npartite))
+    claims = {c.claim_id: c for c in verify.suite_equivalence() + verify.suite_npartite((3, 2))}
+    for claim_id in ("equivalence/t2-exhaustive", "equivalence/t3-random", "npartite/observation"):
+        assert claims[claim_id].passed is False
+        assert "not the board's cells in row-major order" in claims[claim_id].detail
