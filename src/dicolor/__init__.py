@@ -1,5 +1,7 @@
 """Checkerboard sparse partitions, derived tournaments, and exact directed coloring."""
 
+import types
+
 from .board import (
     C_SPARSE,
     MAX_BRUTEFORCE_CELLS,
@@ -54,4 +56,4 @@ from .solvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], types.ModuleType)]

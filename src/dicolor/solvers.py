@@ -26,8 +26,8 @@ primitives, independently of the search.
 
 from __future__ import annotations
 
-import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,19 +136,18 @@ def verify_coloring(g: Digraph, coloring: Coloring, constraint: str) -> bool:
     return all(is_acyclic(g, members) for members in classes)
 
 
-def _search(g: Digraph, constraint: str, t: int, budget: _Budget) -> list[int] | None:
+def _search(g: Digraph, constraint: str, t: int, tick: Callable[[], None]) -> list[int] | None:
     """First assignment of at most t feasible classes, or None when there is none.
 
-    Backtracking on an explicit stack in saturation order (DSATUR, Brelaz
-    1979): each node branches on the unassigned vertex that the fewest
-    colors still admit, lowest index first on ties, trying its colors in
-    increasing order.  A vertex may open color `used` only, which breaks the
-    symmetry between color names.  Once all t colors are in use, a node
-    whose chosen vertex admits none of them fails at once (forward
-    checking).  The budget ticks once per node, that is once per vertex
-    placed plus once for the root.  With t = n no placement ever fails,
-    because a fresh color always fits, so the search never backtracks and
-    takes n + 1 nodes.
+    Backtracking in saturation order (DSATUR, Brelaz 1979): each node
+    branches on the unassigned vertex that the fewest colors still admit,
+    lowest index first on ties, trying its colors in increasing order.  A
+    vertex may open color `used` only, which breaks the symmetry between
+    color names.  Once all t colors are in use, a node whose chosen vertex
+    admits none of them fails at once (forward checking).  `tick` is called
+    once per node, that is once per vertex placed plus once for the root,
+    and aborts the search by raising.  With t = n no placement ever fails,
+    because a fresh color always fits, so the search never backtracks.
 
     danger[c] is the set (as a bitmask) of vertices that would break class
     c, so rejecting a color is one AND.  It grows as vertices join:
@@ -163,29 +162,27 @@ def _search(g: Digraph, constraint: str, t: int, budget: _Budget) -> list[int] |
     bit-slices: planes[k] holds bit k of every count.  A placement adds the
     vertices its class's danger gained, and a top-down scan of the planes
     over the unassigned vertices finds the largest count.
+    The trail is the stack, its length the depth: a placement pushes (vertex,
+    its class's prior danger, prior planes), and a backtrack restores them.
     """
     out_mask, in_mask, n = g.out_mask, g.in_mask, g.vertex_count
     triangle = constraint == TRIANGLE_FREE or is_tournament(g)
     member = [0] * t
     danger = [0] * t
     assign = [0] * n
-    order = [0] * n  # the vertex placed at each depth
     planes = [0] * t.bit_length()
-    # Per placed vertex: its class's danger and the planes before it joined.
-    saved_danger = [0] * n
-    saved_planes: list[list[int]] = [planes] * n
+    trail: list[tuple[int, int, list[int]]] = []
     free = (1 << n) - 1
-    tick = budget.tick
     tick()
-    depth = used = c = v = 0  # no class bars any vertex yet, so the root picks vertex 0
-    while depth < n:
+    used = c = v = 0  # no class bars any vertex yet, so the root picks vertex 0
+    while len(trail) < n:
         bit = 1 << v
         top = used + 1 if used < t else t
         while c < top and danger[c] & bit:
             c += 1
         if c < top:
             m = member[c]
-            d = saved_danger[v] = danger[c]
+            d = old = danger[c]
             in_v = in_mask[v]
             out_v = out_mask[v]
             if triangle:
@@ -222,8 +219,8 @@ def _search(g: Digraph, constraint: str, t: int, budget: _Budget) -> list[int] |
                     b = (b ^ lsb) | x
                 d |= into & outof
             free ^= bit
-            carry = (d ^ danger[c]) & free
-            saved_planes[v] = planes
+            carry = (d ^ old) & free
+            trail.append((v, old, planes))
             if carry:
                 planes = planes[:]
                 for k, p in enumerate(planes):
@@ -234,10 +231,8 @@ def _search(g: Digraph, constraint: str, t: int, budget: _Budget) -> list[int] |
             danger[c] = d
             member[c] = m | bit
             assign[v] = c
-            order[depth] = v
             if c == used:
                 used += 1
-            depth += 1
             tick()
             # Pick the unassigned vertex barred from the most classes; no
             # count exceeds `used`, so higher planes are empty.
@@ -252,16 +247,14 @@ def _search(g: Digraph, constraint: str, t: int, budget: _Budget) -> list[int] |
                     count |= 1 << k
             v = (pick & -pick).bit_length() - 1
             c = t if used == t and count == t else 0
-        elif depth == 0:
+        elif not trail:
             return None
         else:
-            depth -= 1
-            v = order[depth]
+            v, old, planes = trail.pop()
             bit = 1 << v
             c = assign[v]
             member[c] ^= bit
-            danger[c] = saved_danger[v]
-            planes = saved_planes[v]
+            danger[c] = old
             free |= bit
             if not member[c]:
                 used -= 1
@@ -281,8 +274,7 @@ def greedy_upper_bound(g: Digraph, constraint: str) -> Coloring:
     new color when none fits: the exact search run with one color per vertex.
     """
     _check_constraint(constraint)
-    budget = _Budget(SolveLimits(max_nodes=g.vertex_count + 1, max_seconds=math.inf))
-    return _coloring(g, _search(g, constraint, g.vertex_count, budget))
+    return _coloring(g, _search(g, constraint, g.vertex_count, lambda: None))
 
 
 def _band_coloring(g: Digraph) -> Coloring | None:
@@ -305,12 +297,12 @@ def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResu
     budget = _Budget(limits)
     t = 1  # the only bound proven if the budget runs out during greedy
     try:
-        upper = _coloring(g, _search(g, constraint, n, budget))
+        upper = _coloring(g, _search(g, constraint, n, budget.tick))
         band = _band_coloring(g)
         if band is not None and band.num_colors < upper.num_colors and verify_coloring(g, band, constraint):
             upper = band
         for t in range(1, upper.num_colors):
-            assignment = _search(g, constraint, t, budget)
+            assignment = _search(g, constraint, t, budget.tick)
             if assignment is not None:
                 upper = _coloring(g, assignment)
                 break

@@ -3,9 +3,10 @@ import time
 
 import pytest
 
-from dicolor import Board, build_tournament, digraph_from_json, digraph_to_json, verify
+from dicolor import Board, CellPartition, CellSet, build_tournament, digraph_from_json, digraph_to_json, verify
 from dicolor.cli import main
 from dicolor.solvers import ABORTED_AT_LIMIT, SolveResult
+from oracles import first_triangle_by_scan
 
 
 def aborted_at(value):
@@ -73,6 +74,16 @@ class TestSolve:
         assert doc["status"] == "optimal" and doc["value"] == 2
         assert len(doc["colors"]) == 9
 
+    def test_triangle_free_constraint(self, tmp_path, capsys):
+        path = tmp_path / "k63.json"
+        run(capsys, "generate", "npartite", "--n", "6", "--m", "3", "--out", str(path))
+        code, stdout, _ = run(capsys, "solve", str(path), "--constraint", "triangle-free")
+        doc = json.loads(stdout)
+        assert code == 0 and doc["status"] == "optimal" and doc["value"] == 3
+        g = digraph_from_json(json.loads(path.read_text()))
+        classes = [[v for v, c in enumerate(doc["colors"]) if c == color] for color in range(3)]
+        assert [first_triangle_by_scan(g, members) for members in classes] == [None] * 3
+
     def test_acyclic_input_is_one(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps({"vertices": 3, "arcs": [[0, 1], [1, 2]]}))
@@ -128,6 +139,12 @@ class TestSolve:
         path.write_text(text)
         code, stdout, stderr = run(capsys, "solve", str(path))
         assert code == 2 and stdout == "" and stderr.count("\n") == 1
+
+    def test_negative_vertex_count_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "negative.json"
+        path.write_text('{"vertices": -5, "arcs": []}')
+        code, stdout, stderr = run(capsys, "solve", str(path))
+        assert code == 2 and stdout == "" and "non-negative" in stderr and stderr.count("\n") == 1
 
     def test_nan_time_limit_exits_2(self, tmp_path, capsys):
         path = tmp_path / "t2.json"
@@ -304,6 +321,10 @@ class TestVerify:
         assert code == 1
         assert [line[:4] for line in stdout.splitlines()] == ["FAIL", "OPEN", "0/2 "]
 
+    def test_npartite_n_without_m_exits_2(self, capsys):
+        code, stdout, stderr = run(capsys, "verify", "npartite", "--n", "2")
+        assert code == 2 and stdout == "" and "--m" in stderr
+
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2
@@ -347,6 +368,31 @@ class TestVerify:
     def test_order_claims_fail_on_a_broken_predicate(self, capsys, monkeypatch, weak, failing):
         monkeypatch.setattr(verify, "is_weak_c_sparse", weak)
         code, stdout, _ = run(capsys, "verify", "order")
+        assert code == 1
+        assert [line.split()[1] for line in stdout.splitlines() if line.startswith("FAIL")] == failing
+
+    @pytest.mark.parametrize(
+        "argv, helper, broken, failing",
+        [
+            (
+                ["bounds"],
+                "bruteforce_max_sparse",
+                lambda board, kind: (board.n + 2 * board.m, None),
+                ["bounds/c-sparse-rect", "bounds/c-sparse-square", "bounds/tight-single-column", "bounds/weak"],
+            ),
+            (
+                ["sigma", "--max-n", "1"],
+                "optimal_c_sparse_partition",
+                lambda board: CellPartition(board, [CellSet(board, board.cells())]),
+                ["sigma/construction-n<=15"],
+            ),
+            (["npartite", "--n", "2", "--m", "1"], "is_weak_c_sparse", lambda s: False, ["npartite/observation"]),
+        ],
+        ids=["bounds", "sigma", "npartite"],
+    )
+    def test_claims_fail_on_a_broken_helper(self, capsys, monkeypatch, argv, helper, broken, failing):
+        monkeypatch.setattr(verify, helper, broken)
+        code, stdout, _ = run(capsys, "verify", *argv)
         assert code == 1
         assert [line.split()[1] for line in stdout.splitlines() if line.startswith("FAIL")] == failing
 

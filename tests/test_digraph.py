@@ -38,6 +38,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Digraph(2, [(0, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Digraph(-1, [])
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             Digraph(2, [(0, 1)], labels=[Cell(1, 1), Cell(1, 1)])

@@ -16,6 +16,7 @@ from dicolor import (
     Coloring,
     Digraph,
     SolveLimits,
+    SolveResult,
     build_npartite,
     build_tournament,
     dichromatic_number,
@@ -275,6 +276,17 @@ class TestLimits:
         assert result.status == ABORTED_AT_LIMIT
         assert result.elapsed < 0.5
 
+    @pytest.mark.parametrize("solve", [dichromatic_number, triangle_free_chromatic])
+    def test_a_tiny_time_limit_reports_only_proven_bounds(self, solve):
+        # The empty digraph is answered before the budget starts; any other
+        # digraph trips the search's root tick, having proven only 1.
+        limits = SolveLimits(max_seconds=1e-9)
+        empty = solve(Digraph(0, []), limits)
+        assert (empty.status, empty.value, empty.nodes_explored) == (OPTIMAL, 0, 0)
+        for g in (Digraph(1, []), build_tournament(2)):
+            result = solve(g, limits)
+            assert (result.status, result.value, result.certificate) == (ABORTED_AT_LIMIT, 1, None)
+
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             SolveLimits(max_nodes=0)
@@ -283,6 +295,12 @@ class TestLimits:
         with pytest.raises(ValueError):
             SolveLimits(max_seconds=float("nan"))
         assert SolveLimits(max_seconds=math.inf).max_seconds == math.inf
+
+
+class TestSolveResult:
+    def test_optimal_needs_a_certificate(self):
+        with pytest.raises(ValueError, match="certificate"):
+            SolveResult(OPTIMAL, 2, None, 0, 0.0)
 
 
 class TestLowerBoundFormula:
