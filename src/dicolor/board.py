@@ -9,15 +9,15 @@ members whose row lies strictly between the rows of two same-column members.
 The module provides those predicates (column-span tests on a cell set's
 row-major mask, see `CellSet`), the diagonal-band construction that
 partitions a square board into floor(n/2)+1 c-sparse classes, deletion of
-rows/columns (which preserves c-sparseness), and exhaustive brute-force
-oracles for extremal set sizes and minimum partition sizes on small boards.
+rows/columns (which preserves c-sparseness), a brute-force oracle for extremal
+set sizes on small boards, and the exact minimum partition size, found by the solver.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
 
 C_SPARSE = "c-sparse"
@@ -39,6 +39,13 @@ def _bits(mask: int) -> Iterator[int]:
     return compress(count(), _bit_flags(mask))
 
 
+def _index(x) -> int:
+    """`operator.index(x)`, except that a bool (JSON true/false) is not an integer."""
+    if x.__class__ is bool:
+        raise TypeError("booleans are not integers")
+    return operator.index(x)
+
+
 class Cell(NamedTuple):
     """A board position with 1-based coordinates.
 
@@ -50,6 +57,12 @@ class Cell(NamedTuple):
     col: int
 
 
+def _cell(pair) -> Cell:
+    """A pair of integers read through `_index`, as a `Cell`."""
+    r, c = pair
+    return Cell(_index(r), _index(c))
+
+
 @dataclass(frozen=True)
 class Board:
     """An n x m grid of cells (1..n rows, 1..m columns)."""
@@ -58,7 +71,7 @@ class Board:
     m: int
 
     def __post_init__(self) -> None:
-        n, m = operator.index(self.n), operator.index(self.m)
+        n, m = _index(self.n), _index(self.m)
         if n < 1 or m < 1:
             raise ValueError(f"board dimensions must be >= 1, got {n}x{m}")
         object.__setattr__(self, "n", n)
@@ -75,8 +88,11 @@ class Board:
             object.__setattr__(self, "_cells", cells)
         return self.__dict__["_cells"]
 
-    def __contains__(self, cell) -> bool:
-        r, c = cell
+    def __contains__(self, cell: object) -> bool:
+        try:
+            r, c = _cell(cell)
+        except (TypeError, ValueError):  # not a pair of ints
+            return False
         return 1 <= r <= self.n and 1 <= c <= self.m
 
 
@@ -100,11 +116,10 @@ class CellSet:
 
     def __init__(self, board: Board, cells: Iterable[Cell]) -> None:
         mask = 0
-        for r, c in cells:
-            cell = Cell(operator.index(r), operator.index(c))
-            if cell not in board:
-                raise ValueError(f"cell {cell} is outside the {board.n}x{board.m} board")
-            mask |= 1 << (cell.row - 1) * board.m + cell.col - 1
+        for r, c in map(_cell, cells):
+            if not (1 <= r <= board.n and 1 <= c <= board.m):
+                raise ValueError(f"cell {Cell(r, c)} is outside the {board.n}x{board.m} board")
+            mask |= 1 << (r - 1) * board.m + c - 1
         object.__setattr__(self, "board", board)
         object.__setattr__(self, "mask", mask)
 
@@ -217,7 +232,7 @@ def diagonal_band(board: Board, k: int) -> CellSet:
     It is class k of `optimal_c_sparse_partition`, whose side cap it shares.
     """
     _require_square(board)
-    n = board.n
+    n, k = board.n, _index(k)
     if n % 2 == 0:
         raise ValueError(f"diagonal bands are defined for odd side lengths, got n={n}")
     if not 0 <= k <= (n - 1) // 2:
@@ -232,8 +247,8 @@ def restrict(s: CellSet, keep_rows: Iterable[int], keep_cols: Iterable[int]) -> 
     within the keep sets, so the sub-board ordering is the one induced from
     the original board.  Restriction preserves c-sparseness.
     """
-    rows = sorted(set(map(operator.index, keep_rows)))
-    cols = sorted(set(map(operator.index, keep_cols)))
+    rows = sorted(set(map(_index, keep_rows)))
+    cols = sorted(set(map(_index, keep_cols)))
     if not rows or not cols:
         raise ValueError("keep sets must be non-empty")
     if rows[0] < 1 or rows[-1] > s.board.n or cols[0] < 1 or cols[-1] > s.board.m:
@@ -333,7 +348,7 @@ def bruteforce_max_sparse(board: Board, mode: str = C_SPARSE) -> tuple[int, Cell
 
 
 def bruteforce_min_partition(board: Board) -> tuple[int, CellPartition]:
-    """Exhaustive minimum number of c-sparse classes partitioning the board.
+    """Exact minimum number of c-sparse classes partitioning the board.
 
     A cell set is c-sparse exactly when its cells induce an acyclic
     sub-digraph of the board's tournament, so this is the exact dichromatic
@@ -368,9 +383,6 @@ def partition_from_json(doc: dict) -> CellPartition:
     """Parse and validate a partition document."""
     try:
         classes = doc["classes"]
-        # operator.index reads JSON true/false as 1/0; one type scan refuses them.
-        if bool in map(type, chain((doc["n"], doc["m"]), chain.from_iterable(chain.from_iterable(classes)))):
-            raise TypeError("booleans are not integers")
         board = Board(doc["n"], doc["m"])
         if board.cell_count > _MAX_PARTITION_SIDE**2:
             raise ValueError(f"{board.n}x{board.m} board exceeds the {_MAX_PARTITION_SIDE**2}-cell partition cap")

@@ -10,12 +10,11 @@ optional per-vertex cell label, and know the board those labels cover.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Set
 from itertools import chain, compress, count, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .board import Board, Cell, _bit_flags, _bits
+from .board import Board, Cell, _bit_flags, _bits, _cell, _index
 
 # Documents may not declare more vertices than this: per-vertex storage is
 # allocated up front, and T_19, the largest board tournament the generators
@@ -47,14 +46,14 @@ class Digraph:
         arcs: Iterable[tuple[int, int]],
         labels: Sequence[Cell] | None = None,
     ) -> None:
-        n = operator.index(vertex_count)
+        n = _index(vertex_count)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         out_mask = [0] * n
         in_mask = [0] * n
-        index = operator.index
         for u, v in arcs:
-            u, v = index(u), index(v)
+            if u.__class__ is not int or v.__class__ is not int:  # calling on exact ints costs a third of the loop
+                u, v = _index(u), _index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
@@ -90,7 +89,7 @@ class Digraph:
             self.labels: tuple[Cell, ...] | None = None
             self.board: Board | None = None
             return
-        lab = tuple(Cell(operator.index(r), operator.index(c)) for r, c in labels)
+        lab = tuple(map(_cell, labels))
         if len(lab) != n:
             raise ValueError(f"expected {n} labels, got {len(lab)}")
         if len(set(lab)) != n:
@@ -122,10 +121,8 @@ class _ArcView(Set):
 
     def __contains__(self, arc: object) -> bool:
         try:
-            u, v = arc
-            u = operator.index(u)
-            v = operator.index(v)
-        except (TypeError, ValueError):
+            u, v = map(_index, arc)
+        except (TypeError, ValueError):  # not a pair of ints
             return False
         return 0 <= u < len(self._out_mask) and v >= 0 and self._out_mask[u] >> v & 1 == 1
 
@@ -152,9 +149,9 @@ def _member_mask(g: Digraph, members: Iterable[int] | None) -> int:
     if members is None:
         return (1 << n) - 1
     mask = 0
-    for v in map(operator.index, members):
+    for v in map(_index, members):
         if not 0 <= v < n:
-            raise ValueError("vertex set contains indices outside the digraph")
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
         mask |= 1 << v
     return mask
 
@@ -254,18 +251,14 @@ def digraph_to_json(g: Digraph) -> dict:
 def digraph_from_json(doc: dict) -> Digraph:
     """Parse a digraph document, validating the orientation invariants."""
     try:
-        n = operator.index(doc["vertices"])
+        n = _index(doc["vertices"])
         if n > _MAX_JSON_VERTICES:
             raise ValueError(f"{n} vertices exceeds the {_MAX_JSON_VERTICES}-vertex input cap")
         raw_labels = doc.get("labels")
         if raw_labels is not None and len(raw_labels) != n:
             raise ValueError(f"expected {n} labels, got {len(raw_labels)}")
         labels = None if raw_labels is None else [raw_labels[str(v)] for v in range(n)]
-        arcs = doc["arcs"]
-        # operator.index reads JSON true/false as 1/0; one type scan refuses them.
-        if bool in map(type, chain((doc["vertices"],), chain.from_iterable(arcs), chain.from_iterable(labels or ()))):
-            raise TypeError("booleans are not integers")
-        return Digraph(n, arcs, labels)
+        return Digraph(n, doc["arcs"], labels)
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed digraph document: {exc}") from exc
 

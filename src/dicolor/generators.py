@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .board import Board, Cell, CellSet, _first_column
-from .digraph import Digraph
+from .board import Board, Cell, CellSet, _bits, _cell, _first_column, _index
+from .digraph import Digraph, _member_mask
 
 
 # Largest cell-pair count a construction may orient.  T_19 (1,369 cells,
@@ -64,9 +64,9 @@ def tournament_from_board(n: int, m: int) -> Digraph:
 
 def build_tournament(k: int) -> Digraph:
     """Tournament on the (2k-1) x (2k-1) board with dichromatic number exactly k."""
-    if k < 1:
+    side = 2 * _index(k) - 1
+    if side < 1:
         raise ValueError(f"tournament parameter must be >= 1, got {k}")
-    side = 2 * k - 1
     return tournament_from_board(side, side)
 
 
@@ -76,8 +76,6 @@ def build_npartite(n: int, m: int) -> Digraph:
     Vertices are the cells of an n x m board; each row is one independent
     part, and every cross-row pair is oriented by the board's rule.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"part count and part size must be >= 1, got n={n}, m={m}")
     return _board_digraph(n, m, across_rows_only=True)
 
 
@@ -85,7 +83,7 @@ def vertex_of_cell(g: Digraph, cell: Cell) -> int:
     """The vertex labeled by a cell."""
     if g.labels is None:
         raise ValueError("digraph carries no cell labels")
-    key = Cell(*cell)
+    key = _cell(cell)
     try:
         return g.labels.index(key)
     except ValueError:
@@ -94,16 +92,12 @@ def vertex_of_cell(g: Digraph, cell: Cell) -> int:
 
 def cell_set_of(g: Digraph, vertices: Iterable[int]) -> CellSet:
     """The cell set labeling a vertex subset, on the digraph's full board."""
-    if g.labels is None:
-        raise ValueError("digraph carries no cell labels")
     if g.board is None:
-        raise ValueError("labels do not cover a full board")
+        raise ValueError("digraph carries no cell labels covering a full board")
     # Digraph normalized every label to Cell(int, int) and set board only
     # because every label lies on it, so the cells need no second check.
-    n, m, mask = g.vertex_count, g.board.m, 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+    m, mask = g.board.m, 0
+    for v in _bits(_member_mask(g, vertices)):
         row, col = g.labels[v]
         mask |= 1 << (row - 1) * m + col - 1
     return CellSet._from_mask(g.board, mask)

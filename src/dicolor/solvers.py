@@ -31,7 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .board import _band_index
+from .board import _band_index, _index
 from .digraph import Digraph, find_directed_triangle, is_acyclic, is_tournament
 
 ACYCLIC = "acyclic"
@@ -51,10 +51,10 @@ class Coloring:
     num_colors: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "color_of", tuple(map(_index, self.color_of)))
         if len(self.color_of) != self.graph.vertex_count:
             raise ValueError("coloring length does not match the vertex count")
-        used = set(self.color_of)
-        if used != set(range(self.num_colors)):
+        if set(self.color_of) != set(range(_index(self.num_colors))):
             raise ValueError("colors must be exactly 0..num_colors-1 with no empty class")
 
     def color_classes(self) -> list[list[int]]:
@@ -333,6 +333,7 @@ def npartite_lower_bound(n: int, m: int) -> Fraction:
     generated n-partite digraph with parts of size m, and therefore also that
     digraph's dichromatic number.
     """
+    n, m = _index(n), _index(m)
     if n < 1 or m < 1:
         raise ValueError(f"part count and part size must be >= 1, got n={n}, m={m}")
     return Fraction(n * m, n + 2 * m - 2)
