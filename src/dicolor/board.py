@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
 
@@ -65,7 +66,7 @@ def _cell(pair) -> Cell:
 
 @dataclass(frozen=True)
 class Board:
-    """An n x m grid of cells (1..n rows, 1..m columns)."""
+    """An n x m grid of cells (1..n rows, 1..m columns); its cells and column-1 mask are cached."""
 
     n: int
     m: int
@@ -88,17 +89,17 @@ class Board:
             object.__setattr__(self, "_cells", cells)
         return self.__dict__["_cells"]
 
+    @cached_property
+    def _first_column(self) -> int:
+        """The mask of column 1, bit (i-1)*m for every row i; shift it by j-1 for column j."""
+        return ((1 << self.cell_count) - 1) // ((1 << self.m) - 1)
+
     def __contains__(self, cell: object) -> bool:
         try:
             r, c = _cell(cell)
         except (TypeError, ValueError):  # not a pair of ints
             return False
         return 1 <= r <= self.n and 1 <= c <= self.m
-
-
-def _first_column(board: Board) -> int:
-    """The mask of column 1, bit (i-1)*m for every row i; shift it by j-1 for column j."""
-    return ((1 << board.cell_count) - 1) // ((1 << board.m) - 1)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,8 @@ class CellSet:
     Cell (r, c) of an n x m board is bit (r-1)*m + (c-1) of `mask`, the
     vertex a naturally labeled board digraph gives it, so bit order is cell
     order.  `cells`, iteration (in row-major order), `len` and `in` are read
-    off the mask; equality and hashing compare board and mask.
+    off the mask, the predicates with the board's cached column mask;
+    equality and hashing compare board and mask.
     """
 
     board: Board
@@ -127,8 +129,7 @@ class CellSet:
     def _from_mask(cls, board: Board, mask: int) -> CellSet:
         """A cell set from a mask the caller knows has no bit past the board's last cell."""
         s = object.__new__(cls)
-        object.__setattr__(s, "board", board)
-        object.__setattr__(s, "mask", mask)
+        s.__dict__.update(board=board, mask=mask)
         return s
 
     @property
@@ -187,7 +188,7 @@ def is_c_sparse(s: CellSet) -> bool:
     more members, no other member may have a bit strictly between the
     column's lowest and highest bit.  Empty sets and singletons pass vacuously.
     """
-    mask, column = s.mask, _first_column(s.board)
+    mask, column = s.mask, s.board._first_column
     for j in range(s.board.m):
         same = mask & column << j
         if same & same - 1 and (mask ^ same) & (1 << same.bit_length() - 1) - ((same & -same) << 1):
@@ -202,7 +203,7 @@ def is_weak_c_sparse(s: CellSet) -> bool:
     member may lie in a row strictly between the rows of the column's lowest
     and highest bit.  Every c-sparse set is also weak-c-sparse.
     """
-    mask, column, m = s.mask, _first_column(s.board), s.board.m
+    mask, column, m = s.mask, s.board._first_column, s.board.m
     for j in range(m):
         same = mask & column << j
         if same & same - 1:
@@ -329,7 +330,7 @@ def bruteforce_max_sparse(board: Board, mode: str = C_SPARSE) -> tuple[int, Cell
         raise ValueError(f"unknown sparsity mode {mode!r}; expected one of {tuple(_STEP_TESTS)}")
     _check_bruteforce_size(board)
     total, m = board.cell_count, board.m
-    column = _first_column(board)
+    column = board._first_column
     best = 0
 
     def extend(bit: int, chosen: int) -> None:

@@ -71,16 +71,22 @@ class Digraph:
         self._set_labels(labels)
 
     @classmethod
-    def _from_masks(cls, out_mask: Sequence[int], in_mask: Sequence[int], labels: Sequence[Cell] | None) -> Digraph:
+    def _from_masks(
+        cls, out_mask: Sequence[int], in_mask: Sequence[int], labels: Sequence[Cell] | Board | None
+    ) -> Digraph:
         """A digraph from masks the caller knows are an orientation and its transpose.
 
-        Labels are validated as in the constructor; the arcs are not checked.
+        Labels are validated as in the constructor, but a board's cells are
+        taken as read; the arcs are not checked.
         """
         g = object.__new__(cls)
         g.vertex_count = len(out_mask)
         g.out_mask = tuple(out_mask)
         g.in_mask = tuple(in_mask)
-        g._set_labels(labels)
+        if isinstance(labels, Board):
+            g.labels, g.board = labels.cells(), labels
+        else:
+            g._set_labels(labels)
         return g
 
     def _set_labels(self, labels: Sequence[Cell] | None) -> None:
@@ -157,7 +163,7 @@ def _member_mask(g: Digraph, members: Iterable[int] | None) -> int:
 
 
 def is_acyclic(g: Digraph, within: Iterable[int] | None = None) -> bool:
-    """Exact test for the absence of directed cycles (source elimination).
+    """Exact test for the absence of directed cycles (a forward walk).
 
     With `within`, the test applies to the sub-digraph induced by that
     vertex set.
@@ -167,21 +173,26 @@ def is_acyclic(g: Digraph, within: Iterable[int] | None = None) -> bool:
 
 def _acyclic_mask(g: Digraph, rest: int) -> bool:
     """`is_acyclic` on the members of a vertex mask the caller knows lies within g."""
-    out_mask, in_mask = g.out_mask, g.in_mask
-    # Kahn's sort: a member joins the stack once no predecessor is left in
-    # rest, so each member is pushed at most once.
-    stack = [v for v in _bits(rest) if not in_mask[v] & rest]
-    while stack:
-        v = stack.pop()
-        rest ^= 1 << v
-        succ = out_mask[v] & rest
-        while succ:
-            lsb = succ & -succ
-            w = lsb.bit_length() - 1
-            if not in_mask[w] & rest:
-                stack.append(w)
-            succ ^= lsb
-    return not rest
+    out_mask = g.out_mask
+    # Walk to the lowest successor in rest: stepping onto the walk closes a
+    # cycle; a sink leaves rest and the walk steps back.  Each member is
+    # pushed once and removed once.
+    while rest:
+        on = rest & -rest
+        walk = [on.bit_length() - 1]
+        while walk:
+            succ = out_mask[walk[-1]] & rest
+            if succ:
+                succ &= -succ
+                if succ & on:
+                    return False
+                on |= succ
+                walk.append(succ.bit_length() - 1)
+            else:
+                v = 1 << walk.pop()
+                rest ^= v
+                on ^= v
+    return True
 
 
 def find_directed_triangle(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .board import Board, Cell, CellSet, _bits, _cell, _first_column, _index
+from .board import Board, Cell, CellSet, _bits, _cell, _index
 from .digraph import Digraph, _member_mask
 
 
@@ -36,7 +36,7 @@ def _board_digraph(n: int, m: int, across_rows_only: bool) -> Digraph:
     cells = board.cells()
     full = (1 << len(cells)) - 1
     first_row = (1 << m) - 1
-    first_column = _first_column(board)
+    first_column = board._first_column
     out_mask = []
     in_mask = []
     for v, (i, j) in enumerate(cells):
@@ -49,7 +49,7 @@ def _board_digraph(n: int, m: int, across_rows_only: bool) -> Digraph:
             others &= ~(first_row << (i - 1) * m)
         out_mask.append(column & after | others & before)
         in_mask.append(column & before | others & after)
-    return Digraph._from_masks(out_mask, in_mask, cells)
+    return Digraph._from_masks(out_mask, in_mask, board)
 
 
 def tournament_from_board(n: int, m: int) -> Digraph:

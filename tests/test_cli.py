@@ -1,9 +1,19 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from dicolor import Board, CellPartition, CellSet, build_tournament, digraph_from_json, digraph_to_json, verify
+from dicolor import (
+    Board,
+    CellPartition,
+    CellSet,
+    build_tournament,
+    digraph_from_json,
+    digraph_to_json,
+    is_c_sparse,
+    verify,
+)
 from dicolor.cli import main
 from dicolor.solvers import ABORTED_AT_LIMIT, SolveResult
 from oracles import first_triangle_by_scan
@@ -278,6 +288,21 @@ class TestExportSvg:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["all", "--seed", "1"], "verify_all.txt"),
+            (["all", "--seed", "2"], "verify_all.txt"),
+            (["equivalence", "--seed", "7"], "verify_equivalence_seed_7.txt"),
+        ],
+        ids=["all-seed-1", "all-seed-2", "equivalence-seed-7"],
+    )
+    def test_prints_the_pinned_bytes(self, capsys, argv, golden):
+        # A faster claim check must print exactly what these files hold.
+        code, stdout, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert stdout == (Path(__file__).parent / "golden" / golden).read_text()
+
     def test_sigma_small(self, capsys):
         code, stdout, _ = run(capsys, "verify", "sigma", "--max-n", "3")
         assert code == 0
@@ -359,14 +384,23 @@ class TestVerify:
         assert calls == [over_cap]
 
     @pytest.mark.parametrize(
-        "weak, failing",
+        "name, broken, failing",
         [
-            (lambda s: False, ["order/c-implies-weak"]),
-            (lambda s: len(s) != 1, ["order/antitone", "order/c-implies-weak"]),
+            ("is_weak_c_sparse", lambda s: False, ["order/c-implies-weak"]),
+            ("is_weak_c_sparse", lambda s: len(s) != 1, ["order/antitone", "order/c-implies-weak"]),
+            # Wrong at exactly one mask per board.
+            ("is_weak_c_sparse", lambda s: s.mask != 1, ["order/antitone", "order/c-implies-weak"]),
+            # Wrong at exactly one set, (1,1) (2,2) (3,1) on 3x2, whose subsets are all c-sparse.
+            (
+                "is_c_sparse",
+                lambda s: is_c_sparse(s) or s == CellSet(Board(3, 2), [(1, 1), (2, 2), (3, 1)]),
+                ["order/c-implies-weak"],
+            ),
         ],
+        ids=["weak-never", "weak-no-singletons", "weak-not-mask-1", "c-one-extra-set"],
     )
-    def test_order_claims_fail_on_a_broken_predicate(self, capsys, monkeypatch, weak, failing):
-        monkeypatch.setattr(verify, "is_weak_c_sparse", weak)
+    def test_order_claims_fail_on_a_broken_predicate(self, capsys, monkeypatch, name, broken, failing):
+        monkeypatch.setattr(verify, name, broken)
         code, stdout, _ = run(capsys, "verify", "order")
         assert code == 1
         assert [line.split()[1] for line in stdout.splitlines() if line.startswith("FAIL")] == failing

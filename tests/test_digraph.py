@@ -227,11 +227,22 @@ class TestAcyclicity:
                 call(TRIANGLE, [0.9, 1.5, 2.2])
 
     def test_long_path_and_ring(self):
-        # Correctness only: no time is asserted.
+        # The walk reads at most 2n + 1 masks; no time is asserted.
+        class Counted(tuple):
+            reads = 0
+
+            def __getitem__(self, index):
+                Counted.reads += 1
+                return tuple.__getitem__(self, index)
+
         n = 20_000
         path = [(i, i + 1) for i in range(n - 1)]
-        assert is_acyclic(Digraph(n, path))
-        assert not is_acyclic(Digraph(n, path + [(n - 1, 0)]))
+        for arcs, acyclic in ((path, True), ([(v, u) for u, v in path], True), (path + [(n - 1, 0)], False)):
+            g = Digraph(n, arcs)
+            g.out_mask, g.in_mask = Counted(g.out_mask), Counted(g.in_mask)
+            Counted.reads = 0
+            assert is_acyclic(g) == acyclic
+            assert 0 < Counted.reads <= 2 * n + 1
 
 
 class TestTriangleSearch:

@@ -232,6 +232,15 @@ class TestLabelBridges:
         for g in (build_npartite(3, 2), shuffled(build_tournament(2), seed=1)):
             assert digraph_from_json(digraph_to_json(g)).board == g.board
 
+    def test_generated_labels_are_the_boards_cached_cells(self):
+        for g, board in (
+            (build_tournament(3), Board(5, 5)),
+            (build_npartite(3, 2), Board(3, 2)),
+            (tournament_from_board(2, 3), Board(2, 3)),
+        ):
+            assert g.board == board and g.labels == board.cells()
+            assert g.labels is g.board.cells()
+
     def test_labeled_board_rejects_labels_off_the_board(self):
         # four distinct labels with maxima 2 and 2, but (0, 1) is off the 2x2 board
         g = Digraph(4, [], [(0, 1), (1, 2), (2, 1), (2, 2)])
