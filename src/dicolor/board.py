@@ -218,12 +218,6 @@ def _require_square(board: Board) -> None:
         raise ValueError(f"operation requires a square board, got {board.n}x{board.m}")
 
 
-def _band_index(cell: Cell, n: int) -> int:
-    # On the odd side s = n | 1, the diagonal offsets 2k, 2k+1, 2k-s and
-    # 2k-s-1 are exactly the row - col residues 2k and 2k+1 mod s+1.
-    return (cell.row - cell.col) % ((n | 1) + 1) // 2
-
-
 def diagonal_band(board: Board, k: int) -> CellSet:
     """One class of the optimal construction on an odd square board.
 
@@ -286,8 +280,10 @@ def optimal_c_sparse_partition(board: Board) -> CellPartition:
     if n > _MAX_PARTITION_SIDE:
         raise ValueError(f"{n}x{n} board exceeds the construction's side cap of {_MAX_PARTITION_SIDE}")
     bands = [0] * (n // 2 + 1)
-    for bit, cell in enumerate(board.cells()):
-        bands[_band_index(cell, n)] |= 1 << bit
+    # On the odd side s = n | 1, the diagonal offsets 2k, 2k+1, 2k-s and
+    # 2k-s-1 are exactly the row - col residues 2k and 2k+1 mod s+1.
+    for bit, (row, col) in enumerate(board.cells()):
+        bands[(row - col) % ((n | 1) + 1) // 2] |= 1 << bit
     return CellPartition(board, [CellSet._from_mask(board, band) for band in bands])
 
 

@@ -71,17 +71,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     board = Board(args.n, args.n)
     if args.mode == "bruteforce":
-        count, partition = bruteforce_min_partition(board)
+        _, partition = bruteforce_min_partition(board)
     else:
         partition = optimal_c_sparse_partition(board)
-        count = len(partition.classes)
     text = json.dumps(partition_to_json(partition), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
-        print(f"classes: {count}")
+        print(f"classes: {len(partition)}")
     else:
         sys.stdout.write(text)
-        print(f"classes: {count}", file=sys.stderr)
+        print(f"classes: {len(partition)}", file=sys.stderr)
     if args.svg:
         Path(args.svg).write_text(partition_to_svg(partition))
     return 0

@@ -94,10 +94,4 @@ def cell_set_of(g: Digraph, vertices: Iterable[int]) -> CellSet:
     """The cell set labeling a vertex subset, on the digraph's full board."""
     if g.board is None:
         raise ValueError("digraph carries no cell labels covering a full board")
-    # Digraph normalized every label to Cell(int, int) and set board only
-    # because every label lies on it, so the cells need no second check.
-    m, mask = g.board.m, 0
-    for v in _bits(_member_mask(g, vertices)):
-        row, col = g.labels[v]
-        mask |= 1 << (row - 1) * m + col - 1
-    return CellSet._from_mask(g.board, mask)
+    return CellSet(g.board, [g.labels[v] for v in _bits(_member_mask(g, vertices))])

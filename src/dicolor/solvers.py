@@ -31,7 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .board import _band_index, _index
+from .board import _index, optimal_c_sparse_partition
 from .digraph import Digraph, find_directed_triangle, is_acyclic, is_tournament
 
 ACYCLIC = "acyclic"
@@ -54,7 +54,7 @@ class Coloring:
         object.__setattr__(self, "color_of", tuple(map(_index, self.color_of)))
         if len(self.color_of) != self.graph.vertex_count:
             raise ValueError("coloring length does not match the vertex count")
-        if set(self.color_of) != set(range(_index(self.num_colors))):
+        if _index(self.num_colors) < 0 or set(self.color_of) != set(range(self.num_colors)):
             raise ValueError("colors must be exactly 0..num_colors-1 with no empty class")
 
     def color_classes(self) -> list[list[int]]:
@@ -72,8 +72,11 @@ class SolveLimits:
     max_seconds: float = 60.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_nodes", _index(self.max_nodes))
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
+        if self.max_seconds.__class__ is bool:
+            raise TypeError("max_seconds must be a number, not a boolean")
         if not self.max_seconds > 0:  # also rejects NaN
             raise ValueError("max_seconds must be positive")
 
@@ -94,9 +97,10 @@ class SolveResult:
     elapsed: float
 
     def __post_init__(self) -> None:
-        if self.status == OPTIMAL:
-            if self.certificate is None or self.certificate.num_colors != self.value:
-                raise ValueError("optimal results require a matching certificate")
+        if self.status not in (OPTIMAL, ABORTED_AT_LIMIT):
+            raise ValueError(f"unknown status {self.status!r}; expected {OPTIMAL!r} or {ABORTED_AT_LIMIT!r}")
+        if self.status == OPTIMAL and (self.certificate is None or self.certificate.num_colors != self.value):
+            raise ValueError("optimal results require a matching certificate")
 
 
 class _LimitHit(Exception):
@@ -143,11 +147,11 @@ def _search(g: Digraph, constraint: str, t: int, tick: Callable[[], None]) -> li
     branches on the unassigned vertex that the fewest colors still admit,
     lowest index first on ties, trying its colors in increasing order.  A
     vertex may open color `used` only, which breaks the symmetry between
-    color names.  Once all t colors are in use, a node whose chosen vertex
-    admits none of them fails at once (forward checking).  `tick` is called
-    once per node, that is once per vertex placed plus once for the root,
-    and aborts the search by raising.  With t = n no placement ever fails,
-    because a fresh color always fits, so the search never backtracks.
+    color names.  A chosen vertex that no color admits is a dead end: the
+    color scan runs past all t colors and backtracks (forward checking).
+    `tick` is called once per node, that is once per vertex placed plus once
+    for the root, and aborts the search by raising.  With t = n no placement
+    ever fails, because a fresh color always fits, so it never backtracks.
 
     danger[c] is the set (as a bitmask) of vertices that would break class
     c, so rejecting a color is one AND.  It grows as vertices join:
@@ -161,7 +165,7 @@ def _search(g: Digraph, constraint: str, t: int, tick: Callable[[], None]) -> li
     Each vertex's count of classes whose danger holds it is kept in
     bit-slices: planes[k] holds bit k of every count.  A placement adds the
     vertices its class's danger gained, and a top-down scan of the planes
-    over the unassigned vertices finds the largest count.
+    over the unassigned vertices picks one with the largest count.
     The trail is the stack, its length the depth: a placement pushes (vertex,
     its class's prior danger, prior planes), and a backtrack restores them.
     """
@@ -237,16 +241,14 @@ def _search(g: Digraph, constraint: str, t: int, tick: Callable[[], None]) -> li
             # Pick the unassigned vertex barred from the most classes; no
             # count exceeds `used`, so higher planes are empty.
             pick = free
-            count = 0
             k = used.bit_length()
             while k:
                 k -= 1
                 x = pick & planes[k]
                 if x:
                     pick = x
-                    count |= 1 << k
             v = (pick & -pick).bit_length() - 1
-            c = t if used == t and count == t else 0
+            c = 0
         elif not trail:
             return None
         else:
@@ -277,15 +279,6 @@ def greedy_upper_bound(g: Digraph, constraint: str) -> Coloring:
     return _coloring(g, _search(g, constraint, g.vertex_count, lambda: None))
 
 
-def _band_coloring(g: Digraph) -> Coloring | None:
-    """The diagonal-band partition mapped through g's labels, when they cover
-    a full square board; otherwise None.  Its classes are not checked."""
-    board = g.board
-    if board is None or board.n != board.m:
-        return None
-    return _coloring(g, [_band_index(cell, board.n) for cell in g.labels])
-
-
 def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResult:
     _check_constraint(constraint)
     limits = limits or SolveLimits()
@@ -298,9 +291,12 @@ def _solve(g: Digraph, constraint: str, limits: SolveLimits | None) -> SolveResu
     t = 1  # the only bound proven if the budget runs out during greedy
     try:
         upper = _coloring(g, _search(g, constraint, n, budget.tick))
-        band = _band_coloring(g)
-        if band is not None and band.num_colors < upper.num_colors and verify_coloring(g, band, constraint):
-            upper = band
+        if g.board is not None and g.board.n == g.board.m:
+            # Labels covering a square board give the paper's bands as a candidate bound.
+            class_of = optimal_c_sparse_partition(g.board).class_of()
+            band = _coloring(g, [class_of[cell] for cell in g.labels])
+            if band.num_colors < upper.num_colors and verify_coloring(g, band, constraint):
+                upper = band
         for t in range(1, upper.num_colors):
             assignment = _search(g, constraint, t, budget.tick)
             if assignment is not None:

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .board import (
+    C_SPARSE,
     MAX_BRUTEFORCE_CELLS,
+    WEAK_C_SPARSE,
     Board,
     CellSet,
+    _index,
     bruteforce_max_sparse,
     bruteforce_min_partition,
     is_c_sparse,
@@ -100,8 +103,8 @@ def suite_order() -> list[Claim]:
 def suite_bounds() -> list[Claim]:
     rect_ok = square_ok = weak_ok = tight_ok = True
     for board in _small_boards(16):
-        size_c, _ = bruteforce_max_sparse(board, "c-sparse")
-        size_w, _ = bruteforce_max_sparse(board, "weak-c-sparse")
+        size_c, _ = bruteforce_max_sparse(board, C_SPARSE)
+        size_w, _ = bruteforce_max_sparse(board, WEAK_C_SPARSE)
         if size_c > board.n + board.m - 1:
             rect_ok = False
         if board.n == board.m and size_c > 2 * board.n - 1:
@@ -273,6 +276,7 @@ def run_suites(
     npartite_case: tuple[int, int] | None = None,
 ) -> list[Claim]:
     """Run the named suites and return their claims sorted by id."""
+    max_n, max_k = (None if scale is None else _index(scale) for scale in (max_n, max_k))
     for name, scale in (("max_n", max_n), ("max_k", max_k)):
         if scale is not None and scale < 1:
             raise ValueError(f"{name} must be at least 1, got {scale}")

@@ -10,6 +10,7 @@ from dicolor import (
     CellSet,
     Coloring,
     Digraph,
+    SolveLimits,
     build_npartite,
     build_tournament,
     cell_set_of,
@@ -24,6 +25,7 @@ from dicolor import (
     tournament_from_board,
     vertex_of_cell,
 )
+from dicolor.verify import run_suites
 
 B3 = Board(3, 3)
 FULL3 = CellSet(B3, B3.cells())
@@ -63,6 +65,9 @@ READERS = {
     "cell_set_of-vertex": lambda x: cell_set_of(T2, [0, x]),
     "Coloring-color": lambda x: Coloring(PATH, (0, x, 0), 2),
     "Coloring-count": lambda x: Coloring(PATH, (0, 0, 0), x),
+    "SolveLimits-max_nodes": lambda x: SolveLimits(max_nodes=x),
+    "run_suites-max_k": lambda x: run_suites(["tk"], max_k=x),
+    "run_suites-max_n": lambda x: run_suites(["diagonals"], max_n=x),
     "npartite_lower_bound-n": lambda x: npartite_lower_bound(x, 2),
     "npartite_lower_bound-m": lambda x: npartite_lower_bound(2, x),
 }

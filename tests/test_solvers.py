@@ -91,6 +91,9 @@ class TestVerifyColoring:
             Coloring(THREE_CYCLE, (0, 1), 2)  # wrong length
         with pytest.raises(ValueError):
             Coloring(THREE_CYCLE, (0, 0, 2), 3)  # class 1 empty
+        assert Coloring(Digraph(0, []), (), 0).color_classes() == []
+        with pytest.raises(ValueError):
+            Coloring(Digraph(0, []), (), -1)  # negative count
 
 
 class TestExactSolvers:
@@ -294,13 +297,22 @@ class TestLimits:
             SolveLimits(max_seconds=0)
         with pytest.raises(ValueError):
             SolveLimits(max_seconds=float("nan"))
+        with pytest.raises(TypeError, match="boolean"):
+            SolveLimits(max_seconds=True)
         assert SolveLimits(max_seconds=math.inf).max_seconds == math.inf
+        assert SolveLimits(max_seconds=1).max_seconds == 1
 
 
 class TestSolveResult:
     def test_optimal_needs_a_certificate(self):
         with pytest.raises(ValueError, match="certificate"):
             SolveResult(OPTIMAL, 2, None, 0, 0.0)
+
+    def test_status_is_one_of_the_two(self):
+        assert SolveResult(ABORTED_AT_LIMIT, 3, None, 0, 0.0).status == ABORTED_AT_LIMIT
+        for bad in ("bogus", "OPTIMAL", None):
+            with pytest.raises(ValueError, match="unknown status"):
+                SolveResult(bad, 3, None, 0, 0.0)
 
 
 class TestLowerBoundFormula:
@@ -349,6 +361,9 @@ class TestResultSerialization:
             (build_tournament(3), dichromatic_number, 51, "0221100221100221100221100"),
             (build_npartite(6, 3), triangle_free_chromatic, 89, "000000111111222222"),
             (random_digraph(random.Random(6), 18, 0.5), dichromatic_number, 60, "000101001100010111"),
+            # T_4 is closed by the band upper bound; both spend their infeasible levels in dead ends.
+            (build_tournament(4), dichromatic_number, 2656, "0332211003322110033221100332211003322110033221100"),
+            (build_npartite(8, 4), triangle_free_chromatic, 4776, "00110001210121021102120212001220"),
         ]
         for g, solve, nodes, colors in cases:
             a = solve(g)
